@@ -13,6 +13,7 @@ Exit codes: 0 success/affirmative, 1 negative verdict, 2 inconclusive,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +25,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     SinecombError,
-    ZeroFreeError,
 )
 from .factorize import FactorConfig, factor
 from .growth import growth_profile
@@ -46,7 +46,6 @@ class RunConfig:
 
     reality_tol: float = 1e-7
     reconstruction_tol: float = 1e-6
-    quadrature_tol: float = 1e-10
     zero_tol: float = 1e-12
     gamma_max: float | None = None
     window: tuple[float, float] | None = None
@@ -56,17 +55,14 @@ class RunConfig:
         {"kind": "gaussian", "s": 2.0, "t0": 0.0},
         {"kind": "gaussian", "s": 4.0, "t0": 0.0},
     )
-    threads: int = 1
 
 
-_CONFIG_KEYS = {"reality_tol", "reconstruction_tol", "quadrature_tol",
-                "zero_tol", "gamma_max", "window", "radii", "battery",
-                "threads"}
+_CONFIG_KEYS = {"reality_tol", "reconstruction_tol", "zero_tol", "gamma_max",
+                "window", "radii", "battery"}
 
 
 def _validate_config(cfg: RunConfig) -> RunConfig:
-    for name in ("reality_tol", "reconstruction_tol", "quadrature_tol",
-                 "zero_tol"):
+    for name in ("reality_tol", "reconstruction_tol", "zero_tol"):
         value = getattr(cfg, name)
         if not (isinstance(value, (int, float)) and value > 0):
             raise ConfigError(f"{name} must be a positive number")
@@ -83,8 +79,6 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
             raise ConfigError("radii must be increasing and >= 1")
     for tf in cfg.battery:
         _battery_entry(tf)  # raises ConfigError on bad entries
-    if not (isinstance(cfg.threads, int) and cfg.threads >= 1):
-        raise ConfigError("threads must be an integer >= 1")
     return cfg
 
 
@@ -135,13 +129,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return {
         "reality_tol": cfg.reality_tol,
         "reconstruction_tol": cfg.reconstruction_tol,
-        "quadrature_tol": cfg.quadrature_tol,
         "zero_tol": cfg.zero_tol,
         "gamma_max": cfg.gamma_max,
         "window": list(cfg.window) if cfg.window else None,
         "radii": list(cfg.radii) if cfg.radii else None,
         "battery": [dict(b) for b in cfg.battery],
-        "threads": cfg.threads,
     }
 
 
@@ -185,6 +177,10 @@ def _strip_rect(p: ExpPolynomial, window: tuple[float, float]) -> Rect:
                 strip.beta + strip.eta)
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def _emit(args, report: dict, csv_text: str | None = None) -> None:
     if getattr(args, "out", None):
         base = Path(args.out)
@@ -205,8 +201,9 @@ def _cmd_zeros(args, cfg: RunConfig) -> int:
         "atoms": [{"x": loc.real, "y": loc.imag,
                    "multiplicity": int(round(m.real if isinstance(m, complex) else m))}
                   for loc, m in measure.atoms],
-        "max_residual": diag["max_residual"],
-        "residual_bound": diag["residual_bound"],
+        # JSON has no inf: raw |p| beyond the double range is reported as null
+        "max_residual": _finite_or_none(diag["max_residual"]),
+        "residual_bound": _finite_or_none(diag["residual_bound"]),
         "coarse_atoms": len(diag["coarse"]),
     }
     _emit(args, report, zeros_to_csv(measure))
@@ -345,8 +342,6 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--input", required=True)
         cmd.add_argument("--config")
         cmd.add_argument("--out")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="cap on worker threads")
         cmd.add_argument("--gamma-max", dest="gamma_max", type=float,
                          default=None)
         if name in ("zeros", "poisson"):
@@ -365,21 +360,13 @@ def main(argv=None) -> int:
             return EXIT_OK
         if getattr(args, "command", None) is None:
             raise ConfigError("a subcommand is required (see --help)")
-        cfg = load_config(args.config)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg = _validate_config(replace(cfg, threads=args.threads))
-        return args.handler(args, cfg)
+        return args.handler(args, load_config(args.config))
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConfigError, PreconditionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ZeroFreeError as exc:
-        print(f"numerical stage error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except SinecombError as exc:
         print(f"numerical stage error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

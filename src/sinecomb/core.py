@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,21 +86,103 @@ class ExpPolynomial:
     def freq_max(self) -> float:
         return self.terms[-1][0]
 
+    # -- evaluation ----------------------------------------------------------
+    # One kernel, branched on input type: a cmath loop for scalars (Newton
+    # steps and clearance probes are too many to pay numpy's per-call cost)
+    # and one exponential matrix for ndarrays.  Both subtract a per-point
+    # shift from the exponents; with the dominant exponential factored out,
+    # every scaled term is at most |q_j| and nothing overflows.  Array sums
+    # over the terms use einsum, not BLAS: a threaded BLAS spreads these thin
+    # products over threads and costs far more than it saves.
+
+    @cached_property
+    def _scalar_terms(self) -> tuple[tuple[complex, complex, complex], ...]:
+        """(2*pi*i*omega_j, q_j, 2*pi*i*omega_j*q_j) per term, built once."""
+        return tuple((1j * TWO_PI * w, q, (1j * TWO_PI * w) * q)
+                     for w, q in self.terms)
+
+    @cached_property
+    def _term_arrays(self) -> np.ndarray:
+        """The same as the rows of a 3 x terms array, built once."""
+        return np.array(self._scalar_terms, dtype=complex).reshape(-1, 3).T.copy()
+
+    def _shift(self, y):
+        """Log of the dominant exponential max_j e^{-2*pi*omega_j*y}; the
+        frequencies are sorted, so only the end terms can attain it."""
+        lo = -TWO_PI * self.terms[0][0] * y
+        hi = -TWO_PI * self.terms[-1][0] * y
+        return np.maximum(lo, hi) if isinstance(y, np.ndarray) else max(lo, hi)
+
+    def _sums(self, z, shift: float) -> tuple[complex, complex]:
+        """Scalar branch: e^-shift * (p(z), p'(z)), summed in ascending
+        frequency order."""
+        s = ds = 0j
+        for c, q, dq in self._scalar_terms:
+            e = cmath.exp(c * z - shift)
+            s += q * e
+            ds += dq * e
+        return s, ds
+
+    def _exponentials(self, z: np.ndarray, shift) -> np.ndarray:
+        """Array branch: the terms x points matrix e^{2*pi*i*omega_j*z - shift},
+        exponentiated in place."""
+        ex = np.multiply.outer(self._term_arrays[0], z.ravel())
+        ex -= shift
+        return np.exp(ex, out=ex)
+
     def evaluate(self, z):
         """Value at ``z`` (scalar or ndarray).
 
-        Terms are accumulated in ascending frequency order so results are
-        bit-reproducible.
+        The raw value: it overflows where p itself leaves the double range.
+        Decisions about zeros use :meth:`scaled_values`, :meth:`log_ratio`
+        and :meth:`log_abs`, which never do.  Terms are accumulated in
+        ascending frequency order so results are bit-reproducible.
         """
         if isinstance(z, np.ndarray):
-            acc = np.zeros(z.shape, dtype=complex)
-            for w, q in self.terms:
-                acc += q * np.exp((1j * TWO_PI * w) * z)
-            return acc
-        acc = 0j
-        for w, q in self.terms:
-            acc += q * cmath.exp((1j * TWO_PI * w) * z)
-        return acc
+            acc = np.zeros(z.size, dtype=complex)
+            for q, row in zip(self._term_arrays[1], self._exponentials(z, 0.0)):
+                acc += q * row
+            return acc.reshape(z.shape)
+        return self._sums(z, 0.0)[0]
+
+    def scaled_values(self, z: complex) -> tuple[complex, complex]:
+        """(p(z), p'(z)) at a scalar ``z``, both divided by the dominant
+        exponential, so their ratio is the true one."""
+        return self._sums(z, self._shift(z.imag))
+
+    def log_ratio(self, z):
+        """p'(z)/p(z) for scalar or ndarray ``z``, free of overflow.
+
+        Where p evaluates to exactly zero (a point on a zero, deep inside the
+        rounding-noise zone) the value is 0, a finite placeholder that keeps
+        quadrature error estimates meaningful.
+        """
+        if not isinstance(z, np.ndarray):
+            s, ds = self.scaled_values(z)
+            return ds / s if s != 0 else 0j
+        ex = self._exponentials(z, self._shift(z.imag.ravel()))
+        s, ds = np.einsum("kj,jm->km", self._term_arrays[1:], ex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = ds / s
+        out[~np.isfinite(out)] = 0.0
+        return out.reshape(z.shape)
+
+    def log_abs(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log|p(z)|, log max_j |q_j e^{2*pi*i*omega_j*z}|) on an ndarray.
+
+        The largest term magnitude is the natural size of |p| at each point;
+        the contour-safety tests compare the difference of the two logs with
+        their floors, at any height.
+        """
+        iw, q = self._term_arrays[:2]
+        y = z.imag.ravel()
+        shift = self._shift(y)
+        with np.errstate(divide="ignore"):
+            log_p = shift + np.log(np.abs(
+                np.einsum("j,jm->m", q, self._exponentials(z, shift))))
+        log_scale = (np.log(np.abs(q))[:, None]
+                     - np.multiply.outer(iw.imag, y)).max(axis=0)
+        return log_p.reshape(z.shape), log_scale.reshape(z.shape)
 
     def derivative(self) -> "ExpPolynomial":
         """Termwise derivative; the omega = 0 term drops out."""

@@ -86,21 +86,6 @@ class DirichletCoefficients:
         return complex(acc) if np.ndim(acc) == 0 else acc
 
 
-def _merge(gammas: np.ndarray, coeffs: np.ndarray):
-    """Sum coefficients whose frequencies agree within the merge grid.
-
-    Grouping runs over the sorted frequencies, so near-coincident values
-    merge regardless of which side of a quantization boundary they fall on.
-    """
-    if len(gammas) == 0:
-        return gammas, coeffs
-    order = np.argsort(gammas)
-    g = gammas[order]
-    c = coeffs[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(g) > _GAMMA_GRID)[0] + 1])
-    return g[starts], np.add.reduceat(c, starts)
-
-
 def _weighted_l1(gammas, coeffs, y: float) -> float:
     if len(gammas) == 0:
         return 0.0
@@ -283,13 +268,15 @@ def _oscillator(c: float, x_hi: np.ndarray, x_lo=0.0) -> np.ndarray:
 def _log_ratio_on_line(p: ExpPolynomial, x_hi: np.ndarray, x_lo,
                        y: float) -> np.ndarray:
     """p'/p on the horizontal line Im z = y with compensated term phases."""
+    # apart from ExpPolynomial's kernel: Bohr means need these double-double
+    # phases, and one term at a time keeps memory O(nodes)
     num = np.zeros(len(x_hi), dtype=complex)
     den = np.zeros(len(x_hi), dtype=complex)
-    shift = max(-TWO_PI * w * y for w, _ in p.terms)
-    for w, q in p.terms:
+    shift = p._shift(y)
+    for (w, _), (iw, q, _) in zip(p.terms, p._scalar_terms):
         term = (q * math.exp(-TWO_PI * w * y - shift)) * _oscillator(w, x_hi, x_lo)
         den += term
-        num += (1j * TWO_PI * w) * term
+        num += iw * term
     return num / den
 
 

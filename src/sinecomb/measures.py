@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import TWO_PI, ExpPolynomial
 from .errors import (
@@ -39,7 +38,7 @@ from .errors import (
 )
 from .logderiv import LOWER, UPPER, DirichletCoefficients
 from .quadrature import integrate_segment
-from .zeros import AtomicMeasure, Rect, _boundary_ok, _log_ratio_values, find_zeros
+from .zeros import AtomicMeasure, Rect, _boundary_ok, find_zeros
 
 #: Atoms whose assembled mass falls below this (relative) are dropped.
 MASS_DROP_REL = 1e-14
@@ -157,7 +156,7 @@ def _gaussian_zero_side_tail(tf: TestFunction, radius: float, height: float,
     reach = max(radius - abs(t) - abs(tf.center), 0.0)
     bulge = math.exp(min(math.pi * s * s * height * height
                          + TWO_PI * abs(tf.center) * height, 600.0))
-    return amp * density * bulge * erfc(math.sqrt(math.pi) * s * reach)
+    return amp * density * bulge * math.erfc(math.sqrt(math.pi) * s * reach)
 
 
 def _freq_side_tail(tf: TestFunction, radius: float, amp: float,
@@ -168,7 +167,7 @@ def _freq_side_tail(tf: TestFunction, radius: float, amp: float,
         return amp * density * (abs(tf.center) + tf.scale - radius)
     s = tf.scale
     reach = max(radius - abs(tf.center), 0.0)
-    return amp * density * s * erfc(math.sqrt(math.pi) * reach / s)
+    return amp * density * s * math.erfc(math.sqrt(math.pi) * reach / s)
 
 
 def _bump_zero_side_tail(tf: TestFunction, radius: float, height: float,
@@ -245,18 +244,12 @@ def contour_residue_report(p: ExpPolynomial, tf: TestFunction,
     if not _boundary_ok(p, rect):
         raise BoundaryProximityError(
             "|p| too small on the rectangle boundary; perturb the rectangle")
-    dp = p.derivative()
 
     def integrand(z):
-        return transform_c(tf, z) * _log_ratio_values(p, dp, z)
+        return transform_c(tf, z) * p.log_ratio(z)
 
-    corners = (complex(rect.x_min, rect.y_min), complex(rect.x_max, rect.y_min),
-               complex(rect.x_max, rect.y_max), complex(rect.x_min, rect.y_max))
-    total = 0j
-    for k in range(4):
-        val, _ = integrate_segment(integrand, corners[k], corners[(k + 1) % 4],
-                                   CONTOUR_EDGE_TOL, max_panels=20000)
-        total += val
+    total = sum(integrate_segment(integrand, a, b, CONTOUR_EDGE_TOL,
+                                  max_panels=20000)[0] for a, b in rect.edges)
 
     zeros = find_zeros(p, rect, allow_jitter=False)
     res = 0j

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, ExpPolynomial, zero_strip_estimate
+from .core import ExpPolynomial, zero_strip_estimate
 from .errors import (
     BoundaryProximityError,
     EmptyPolynomialError,
@@ -80,6 +80,14 @@ class Rect:
         return (self.x_min < z.real < self.x_max
                 and self.y_min < z.imag < self.y_max)
 
+    @property
+    def edges(self) -> tuple[tuple[complex, complex], ...]:
+        """The four sides as (start, end), counterclockwise from the
+        bottom-left corner."""
+        c = (complex(self.x_min, self.y_min), complex(self.x_max, self.y_min),
+             complex(self.x_max, self.y_max), complex(self.x_min, self.y_max))
+        return tuple((c[k], c[(k + 1) % 4]) for k in range(4))
+
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -113,59 +121,22 @@ class AtomicMeasure:
         return len(self.atoms)
 
 
-def _log_ratio_values(p: ExpPolynomial, dp: ExpPolynomial, z: np.ndarray) -> np.ndarray:
-    """p'(z)/p(z) on an array of points, scaled to avoid overflow.
+def _segment_dips(p: ExpPolynomial, a: complex,
+                  b: complex) -> list[tuple[float, float, float]]:
+    """All suspicious |p| dips along the segment:
+    [(log|p|, log term scale, gap)].
 
-    The common dominant exponential is factored out per point, which leaves
-    the ratio unchanged and keeps every term magnitude <= 1.
-    """
-    w = np.array([wi for wi, _ in p.terms])
-    q = np.array([qi for _, qi in p.terms])
-    dq = (1j * TWO_PI) * w * q
-    expo = (1j * TWO_PI) * np.outer(w, z)
-    expo -= expo.real.max(axis=0)[None, :]
-    ex = np.exp(expo)
-    den = (q[:, None] * ex).sum(axis=0)
-    num = (dq[:, None] * ex).sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    # a node can land exactly on a zero (den cancels to 0.0); any such node
-    # is deep inside the rounding-noise zone, so a finite placeholder keeps
-    # the quadrature error estimates meaningful
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[bad] = 0.0
-    return out
-
-
-def _term_scale(p: ExpPolynomial, z: np.ndarray) -> np.ndarray:
-    """Pointwise max term magnitude max_j |q_j e^{2*pi*i*omega_j*z}|.
-
-    This is the natural size of |p| at each boundary point; comparing the
-    sampled |p| against it keeps the safety test meaningful on rectangles
-    spanning several e-foldings of the exponentials.
-    """
-    y = np.asarray(z).imag
-    out = np.zeros(y.shape)
-    for w, q in p.terms:
-        np.maximum(out, abs(q) * np.exp(np.minimum(-TWO_PI * w * y, 700.0)),
-                   out=out)
-    return out
-
-
-def _segment_dips(p: ExpPolynomial, dp: ExpPolynomial, a: complex,
-                  b: complex) -> list[tuple[float, complex, float]]:
-    """All suspicious |p| dips along the segment: [(value, location, gap)].
-
-    Gap is the distance-to-zero estimate |p/p'| at the dip.  Every local
-    minimum of the coarse samples whose clearance is comparable to the
-    sample spacing gets its bracket zoomed, so multiple zeros on (or near)
-    one segment are all detected, not just the deepest one.
+    The term scale is the pointwise max term magnitude
+    max_j |q_j e^{2*pi*i*omega_j*z}|, the natural size of |p| there; gap is
+    the distance-to-zero estimate |p/p'| at the dip.  Every local minimum of
+    the coarse samples whose clearance is comparable to the sample spacing
+    gets its bracket zoomed, so multiple zeros on (or near) one segment are
+    all detected, not just the deepest one.
     """
     dz = b - a
     n = max(129, int(16 * abs(dz)) + 1)
     t = np.linspace(0.0, 1.0, n)
-    vals = np.abs(p.evaluate(a + dz * t))
+    vals, scales = p.log_abs(a + dz * t)
     spacing = abs(dz) / (n - 1)
     interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
     candidates = [0, n - 1] + (np.nonzero(interior)[0] + 1).tolist()
@@ -173,67 +144,54 @@ def _segment_dips(p: ExpPolynomial, dp: ExpPolynomial, a: complex,
     out = []
     for k in candidates[:8]:
         z_k = a + dz * t[k]
-        gap = _clearance(p, dp, z_k)
+        gap = _clearance(p, z_k)
         if gap > 4.0 * spacing:
-            out.append((float(vals[k]), z_k, gap))
+            out.append((float(vals[k]), float(scales[k]), gap))
             continue
-        best, z_best = float(vals[k]), z_k
+        best, scale, z_best = float(vals[k]), float(scales[k]), z_k
         lo, hi = t[max(k - 1, 0)], t[min(k + 1, n - 1)]
         for _ in range(6):
             tt = np.linspace(lo, hi, 33)
-            vv = np.abs(p.evaluate(a + dz * tt))
+            vv, ss = p.log_abs(a + dz * tt)
             j = int(vv.argmin())
             if vv[j] < best:
-                best = float(vv[j])
+                best, scale = float(vv[j]), float(ss[j])
                 z_best = a + dz * tt[j]
             lo, hi = tt[max(j - 1, 0)], tt[min(j + 1, 32)]
-        out.append((best, z_best, _clearance(p, dp, z_best)))
+        out.append((best, scale, _clearance(p, z_best)))
     return out
 
 
-def _segment_scan(p: ExpPolynomial, dp: ExpPolynomial, a: complex,
-                  b: complex) -> tuple[float, complex, float]:
-    """Worst dip of the segment: (min |p|, location of min clearance, min
-    clearance); see _segment_dips."""
-    dips = _segment_dips(p, dp, a, b)
-    val = min(v for v, _, _ in dips)
-    _, z_dip, gap = min(dips, key=lambda d: d[2])
-    return val, z_dip, gap
-
-
-def _segment_min_ratio(p: ExpPolynomial, dp: ExpPolynomial, a: complex,
-                       b: complex) -> float:
-    """Minimum of |p| / (pointwise max term magnitude) over the segment's
-    suspicious dips (see _segment_dips)."""
-    return min(v / float(_term_scale(p, np.array([z]))[0])
-               for v, z, _ in _segment_dips(p, dp, a, b))
+def _segment_scan(p: ExpPolynomial, a: complex,
+                  b: complex) -> tuple[float, float]:
+    """Worst dip of the segment: (min |p| over the dips relative to the
+    term scale at the dip of least clearance, that least clearance); see
+    _segment_dips."""
+    dips = _segment_dips(p, a, b)
+    val = min(d[0] for d in dips)
+    _, scale, gap = min(dips, key=lambda d: d[2])
+    return math.exp(val - scale), gap
 
 
 def _boundary_ok(p: ExpPolynomial, rect: Rect) -> bool:
-    dp = p.derivative()
-    bl = complex(rect.x_min, rect.y_min)
-    br = complex(rect.x_max, rect.y_min)
-    tr = complex(rect.x_max, rect.y_max)
-    tl = complex(rect.x_min, rect.y_max)
-    worst = min(_segment_min_ratio(p, dp, bl, br),
-                _segment_min_ratio(p, dp, br, tr),
-                _segment_min_ratio(p, dp, tr, tl),
-                _segment_min_ratio(p, dp, tl, bl))
+    """Every suspicious dip along the boundary keeps |p| / (pointwise max
+    term magnitude) above the safety floor (see _segment_dips)."""
+    worst = min(math.exp(v - s) for a, b in rect.edges
+                for v, s, _ in _segment_dips(p, a, b))
     return worst > BOUNDARY_SAFETY_REL
 
 
-def _clearance(p: ExpPolynomial, dp: ExpPolynomial, z: complex) -> float:
+def _clearance(p: ExpPolynomial, z: complex) -> float:
     """Distance-to-zero proxy |p/p'| at a sampled |p| dip.
 
     Near a zero of multiplicity m this is dist/m, which is exactly what
     bounds the cost of integrating p'/p along a nearby contour; unlike raw
     |p| it stays meaningful at multiple zeros.
     """
-    pv = p.evaluate(z)
-    dv = dp.evaluate(z)
+    pv, dv = p.scaled_values(z)
     if pv == 0:
         return 0.0
-    if dv == 0 or not (math.isfinite(abs(pv)) and math.isfinite(abs(dv))):
+    if dv == 0:
         return math.inf
     return abs(pv / dv)
 
@@ -244,8 +202,8 @@ def _noise_radius(mult: int) -> float:
     return 1e-13 ** (1.0 / mult) / math.pi
 
 
-def _newton_refine(p: ExpPolynomial, dp: ExpPolynomial, z0: complex, mult: int,
-                   tol: float, escape: float, max_iter: int = 60):
+def _newton_refine(p: ExpPolynomial, z0: complex, mult: int, tol: float,
+                   escape: float, max_iter: int = 60):
     """Multiplicity-corrected Newton iteration z -> z - mult*p/p'.
 
     Returns (z, converged).  Near a zero of multiplicity ``mult`` the
@@ -259,11 +217,10 @@ def _newton_refine(p: ExpPolynomial, dp: ExpPolynomial, z0: complex, mult: int,
     prev_step = math.inf
     stall = 0
     for _ in range(max_iter):
-        pv = p.evaluate(z)
+        pv, dv = p.scaled_values(z)
         if pv == 0:
             return z, True
-        dv = dp.evaluate(z)
-        if dv == 0 or not (math.isfinite(dv.real) and math.isfinite(dv.imag)):
+        if dv == 0:
             return z, False
         step = mult * pv / dv
         z = z - step
@@ -288,7 +245,6 @@ class _Search:
     def __init__(self, p: ExpPolynomial, rect: Rect, tol: float,
                  y_zero_band: tuple[float, float]):
         self.p = p
-        self.dp = p.derivative()
         self.rect = rect
         self.tol = tol
         self.y_newton = 0.5 * (y_zero_band[0] + y_zero_band[1])
@@ -297,22 +253,19 @@ class _Search:
 
     # -- cached contour pieces (slab phase) --------------------------------
 
-    def _f(self, z):
-        return _log_ratio_values(self.p, self.dp, z)
+    def _edge(self, a: complex, b: complex, tol: float = EDGE_TOL) -> complex:
+        return integrate_segment(self.p.log_ratio, a, b, tol)[0]
 
-    def _vertical(self, x: float, tol: float = EDGE_TOL) -> complex:
+    def _vertical(self, x: float) -> complex:
         if x not in self.v_cache:
-            val, _ = integrate_segment(self._f, complex(x, self.rect.y_min),
-                                       complex(x, self.rect.y_max), tol)
-            self.v_cache[x] = val
+            self.v_cache[x] = self._edge(complex(x, self.rect.y_min),
+                                         complex(x, self.rect.y_max))
         return self.v_cache[x]
 
-    def _horizontal(self, y: float, a: float, b: float,
-                    tol: float = EDGE_TOL) -> complex:
+    def _horizontal(self, y: float, a: float, b: float) -> complex:
         key = (y, a, b)
         if key not in self.h_cache:
-            val, _ = integrate_segment(self._f, complex(a, y), complex(b, y), tol)
-            self.h_cache[key] = val
+            self.h_cache[key] = self._edge(complex(a, y), complex(b, y))
         return self.h_cache[key]
 
     def _split_horizontals(self, a: float, b: float, c: float):
@@ -324,12 +277,11 @@ class _Search:
 
     def _refine_slab_pieces(self, a: float, b: float, tol: float):
         for y in (self.rect.y_min, self.rect.y_max):
-            val, _ = integrate_segment(self._f, complex(a, y), complex(b, y), tol)
-            self.h_cache[(y, a, b)] = val
+            self.h_cache[(y, a, b)] = self._edge(complex(a, y),
+                                                 complex(b, y), tol)
         for x in (a, b):
-            val, _ = integrate_segment(self._f, complex(x, self.rect.y_min),
-                                       complex(x, self.rect.y_max), tol)
-            self.v_cache[x] = val
+            self.v_cache[x] = self._edge(complex(x, self.rect.y_min),
+                                         complex(x, self.rect.y_max), tol)
 
     def _slab_raw_winding(self, a: float, b: float) -> complex:
         total = (self._horizontal(self.rect.y_min, a, b)
@@ -366,19 +318,11 @@ class _Search:
         loose edge tolerance is tried: the winding is an exact integer, so
         settling within 0.2 of one still counts zeros correctly.
         """
-        corners = (complex(rect.x_min, rect.y_min), complex(rect.x_max, rect.y_min),
-                   complex(rect.x_max, rect.y_max), complex(rect.x_min, rect.y_max))
         w = None
         for tol, accept in ladder:
-            try:
-                total = 0j
-                for k in range(4):
-                    val, _ = integrate_segment(self._f, corners[k],
-                                               corners[(k + 1) % 4], tol,
-                                               max_panels=2000)
-                    total += val
-            except QuadratureFailureError:
-                continue
+            total = sum(integrate_segment(self.p.log_ratio, a, b, tol,
+                                          max_panels=2000)[0]
+                        for a, b in rect.edges)
             w = total / (2j * math.pi)
             n = round(w.real)
             if abs(w - n) < accept and n >= 0:
@@ -405,10 +349,9 @@ class _Search:
             c = lo + frac * (hi - lo)
             a, b = seg_of(c)
             seg_len = abs(b - a)
-            val, z_dip, gap = _segment_scan(self.p, self.dp, a, b)
+            ratio, gap = _segment_scan(self.p, a, b)
             if gap > 1e-3 * seg_len:
                 return c
-            ratio = val / float(_term_scale(self.p, np.array([z_dip]))[0])
             if best is None or gap > best[1]:
                 best = (c, gap, ratio)
         # the accepted line must keep all zeros at a distance the adaptive
@@ -429,14 +372,11 @@ class _Search:
     def _box_clear(self, box: Rect) -> bool:
         """Edges must keep zeros at an integrable relative distance and stay
         above the term-sum rounding noise."""
-        corners = (complex(box.x_min, box.y_min), complex(box.x_max, box.y_min),
-                   complex(box.x_max, box.y_max), complex(box.x_min, box.y_max))
-        for k in range(4):
-            a, b = corners[k], corners[(k + 1) % 4]
-            val, z_dip, gap = _segment_scan(self.p, self.dp, a, b)
+        for a, b in box.edges:
+            ratio, gap = _segment_scan(self.p, a, b)
             if gap <= 1e-3 * abs(b - a):
                 return False
-            if val <= 1e-11 * float(_term_scale(self.p, np.array([z_dip]))[0]):
+            if ratio <= 1e-11:
                 return False
         return True
 
@@ -480,7 +420,7 @@ class _Search:
         q = self.p
         for _ in range(mult - 1):
             q = q.derivative()
-        z2, ok = _newton_refine(q, q.derivative(), z, 1, self.tol,
+        z2, ok = _newton_refine(q, z, 1, self.tol,
                                 escape=max(100.0 * _noise_radius(mult), 1e-4))
         return (z2, True) if ok else (z, False)
 
@@ -492,7 +432,7 @@ class _Search:
         start = rect.center
         if rect.y_min < self.y_newton < rect.y_max and rect.height > 1e-6:
             start = complex(start.real, self.y_newton)
-        z, ok = _newton_refine(self.p, self.dp, start, n, self.tol,
+        z, ok = _newton_refine(self.p, start, n, self.tol,
                                escape=4.0 * diam + 1e-3)
         if ok and rect.contains(z):
             if n == 1:
@@ -590,6 +530,14 @@ def count_zeros(p: ExpPolynomial, rect: Rect) -> int:
     return search.winding4(rect)
 
 
+def _exp(x: float) -> float:
+    """e**x, or inf where raw |p| at a deep zero leaves the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _zero_band(p: ExpPolynomial, rect: Rect) -> tuple[float, float]:
     try:
         strip = zero_strip_estimate(p)
@@ -651,13 +599,13 @@ def find_zeros_report(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
         raise QuadratureFailureError(
             f"mass accounting mismatch: atoms {mass} vs count {n_total}")
 
-    residuals = [abs(p.evaluate(z)) for z, _, _ in merged]
-    scales = [float(_term_scale(p, np.array([z]))[0]) for z, _, _ in merged]
+    log_res, log_scale = p.log_abs(np.array([z for z, _, _ in merged],
+                                            dtype=complex))
     coarse_atoms = [z for z, _, c in merged if c]
     diagnostics = {
         "count": n_total,
-        "max_residual": max(residuals, default=0.0),
-        "residual_bound": 1e-8 * max(scales, default=1.0),
+        "max_residual": _exp(max(log_res, default=-math.inf)),
+        "residual_bound": 1e-8 * _exp(max(log_scale, default=0.0)),
         "coarse": coarse_atoms,
         "exit_status": 1 if coarse_atoms else 0,
         "rect_used": work,
