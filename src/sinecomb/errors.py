@@ -35,7 +35,8 @@ class BoundaryProximityError(SinecombError):
 
 
 class QuadratureFailureError(SinecombError):
-    """A contour integral failed to settle near an integer winding number."""
+    """A contour integral failed to settle near an integer winding number,
+    or a test-function transform failed to settle or left the double range."""
 
 
 class PreconditionError(SinecombError, ValueError):

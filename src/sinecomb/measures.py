@@ -44,6 +44,13 @@ from .zeros import AtomicMeasure, Rect, _boundary_ok, find_zeros
 MASS_DROP_REL = 1e-14
 #: Absolute tolerance per rectangle edge in the contour-residue check.
 CONTOUR_EDGE_TOL = 1e-10
+#: Bump transforms settle at this share of the integral of |integrand|.
+BUMP_REL_TOL = 1e-12
+#: Halvings of the bump transform's tanh-sinh step; the finest, 2^-16,
+#: resolves |Re z| * radius up to about 2e4.
+BUMP_LEVELS = 16
+#: Nodes x points entries per block of the bump transform (2 MB of complex).
+BUMP_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -87,35 +94,107 @@ def bump(radius: float, t0: float = 0.0) -> TestFunction:
     return TestFunction("bump", radius, t0)
 
 
-def transform_c(tf: TestFunction, z) -> complex:
+def _bump_rule(h: float, tau_max: float, odd: bool):
+    """Nodes u in (-1, 1) of the unit bump's tanh-sinh rule, and the log of
+    bump value times dt/dtau at each: u = tanh(pi/2 sinh tau) at tau = k*h,
+    |tau| <= tau_max, for every k or (``odd``) only the odd k that a halved
+    step adds.  On these nodes the bump is exactly
+    exp(-sinh(pi/2 sinh tau)^2), free of the cancellation in 1 - u^2."""
+    k_max = math.floor(tau_max / h)
+    k = np.arange(-k_max, k_max + 1)
+    if odd:
+        k = k[k % 2 != 0]
+    tau = k * h
+    s = 0.5 * math.pi * np.sinh(tau)
+    log_w = (np.log(0.5 * math.pi * np.cosh(tau)) - np.sinh(s) ** 2
+             - 2.0 * np.log(np.cosh(s)))
+    return np.tanh(s), log_w
+
+
+def _bump_transform(tf: TestFunction, z: np.ndarray) -> np.ndarray:
+    """Bump transform at every point of the 1-d complex array ``z``."""
+    if not np.isfinite(z).all():
+        raise QuadratureFailureError("bump transform at a non-finite point")
+    r = tf.scale
+    # beyond tau_max the bump is below exp(-2*pi*|Im z|*r - 40), so the cut
+    # tail stays below 1e-17 of the integral of |integrand|
+    reach = TWO_PI * r * float(np.max(np.abs(z.imag), initial=0.0)) + 40.0
+    tau_max = math.asinh(math.asinh(math.sqrt(min(reach, 1e300))) / (0.5 * math.pi))
+    phase = -2j * math.pi * r * z
+    shift = math.log(r) - 2j * math.pi * tf.center * z
+    acc = np.zeros(z.shape, dtype=complex)   # sum of terms at the current step
+    mag = np.zeros(z.shape)                  # sum of |terms|
+    out = np.empty(z.shape, dtype=complex)
+    active = np.arange(z.size)
+    h = 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(BUMP_LEVELS):
+            u, log_w = _bump_rule(h, tau_max, odd=level > 0)
+            step = max(1, BUMP_BLOCK // u.size)
+            for lo in range(0, active.size, step):
+                idx = active[lo:lo + step]
+                # log-weights go into the exponent, so a term overflows only
+                # where it is itself out of range
+                terms = np.exp(log_w[:, None] + np.multiply.outer(u, phase[idx])
+                               + shift[idx])
+                acc[idx] += terms.sum(axis=0)
+                mag[idx] += np.abs(terms).sum(axis=0)
+            val = h * acc[active]
+            tol = BUMP_REL_TOL * h * mag[active]
+            if not (np.isfinite(val).all() and np.isfinite(tol).all()):
+                raise QuadratureFailureError(
+                    "bump transform out of floating-point range")
+            if level:
+                err = np.abs(val - prev)
+                done = err <= tol
+                if level == BUMP_LEVELS - 1:
+                    k = np.argmax(err - 10.0 * tol)
+                    if err[k] > 10.0 * tol[k]:
+                        raise QuadratureFailureError(
+                            f"bump transform achieved {err[k]:.3g}, "
+                            f"wanted {tol[k]:.3g}")
+                    done[:] = True
+                out[active[done]] = val[done]
+                active, val = active[~done], val[~done]
+                if not active.size:
+                    break
+            prev = val
+            h *= 0.5
+    return out
+
+
+def transform_c(tf: TestFunction, z):
     """Entire extension of the Fourier transform of ``tf`` at complex ``z``.
 
-    Gaussian: closed form s * exp(-2*pi*i*t0*z) * exp(-pi*s^2*z^2).
-    Bump: adaptive quadrature of integral phi(t) e^{-2*pi*i*z*t} dt with
-    absolute tolerance 1e-12 * exp(2*pi*|Im z|*(|t0| + radius)).
+    ``z`` is a scalar (returns complex) or an ndarray (returns an array of
+    its shape).  Gaussian: closed form s * exp(-2*pi*i*t0*z) * exp(-pi*s^2*z^2).
+    An ndarray value beyond the double range raises QuadratureFailureError.
+    Bump: integral phi(t) e^{-2*pi*i*z*t} dt by the tanh-sinh rule
+    t = t0 + r*tanh(pi/2 sinh tau), summed as a trapezoid rule in tau at
+    steps 1/2, 1/4, ..., 2^-BUMP_LEVELS, each step adding only the new
+    nodes, for all points at once.  A point settles once two successive
+    steps differ by at most BUMP_REL_TOL times the integral of
+    |phi(t) e^{-2*pi*i*z*t}| on the same nodes.  Raises
+    QuadratureFailureError when a value or its bound is not finite (the
+    transform leaves the double range), or when a point is still off by
+    more than ten times its bound at the finest step.
     """
     if tf.kind == "gaussian":
         if isinstance(z, np.ndarray):
-            return tf.scale * np.exp(-2j * math.pi * tf.center * z
-                                     - math.pi * tf.scale ** 2 * z * z)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = tf.scale * np.exp(-2j * math.pi * tf.center * z
+                                        - math.pi * tf.scale ** 2 * z * z)
+            if not np.isfinite(out).all():
+                raise QuadratureFailureError(
+                    "gaussian transform out of floating-point range")
+            return out
         z = complex(z)
         return tf.scale * cmath.exp(-2j * math.pi * tf.center * z
                                     - math.pi * tf.scale ** 2 * z * z)
     if isinstance(z, np.ndarray):
-        return np.array([transform_c(tf, zi) for zi in z.ravel()]).reshape(z.shape)
-    z = complex(z)
-    tol = 1e-12 * math.exp(min(TWO_PI * abs(z.imag) * (abs(tf.center) + tf.scale),
-                               600.0))
-
-    def integrand(t):
-        return tf.value(t.real) * np.exp(-2j * math.pi * z * t)
-
-    val, err = integrate_segment(integrand, tf.center - tf.scale,
-                                 tf.center + tf.scale, tol, max_panels=20000)
-    if err > 10.0 * tol:
-        raise QuadratureFailureError(
-            f"bump transform achieved {err:.3g}, wanted {tol:.3g}")
-    return val
+        flat = np.asarray(z, dtype=complex).ravel()
+        return _bump_transform(tf, flat).reshape(z.shape)
+    return complex(_bump_transform(tf, np.array([complex(z)]))[0])
 
 
 def fourier_measure(upper: DirichletCoefficients,
@@ -178,6 +257,14 @@ def _bump_zero_side_tail(tf: TestFunction, radius: float, height: float,
     return amp * density * edge * radius / 3.0  # O(x^-4) tail integral
 
 
+def _pair_transform(measure: AtomicMeasure, tf: TestFunction,
+                    t: float = 0.0) -> complex:
+    """Sum of mass * transform_c(tf, loc - t) over the atoms, in atom order,
+    from one transform_c call on all locations."""
+    values = transform_c(tf, np.array(measure.locations, dtype=complex) - t)
+    return sum((m * v for m, v in zip(measure.masses, values.tolist())), 0j)
+
+
 def _side_stats(measure: AtomicMeasure):
     if len(measure) == 0:
         return 0.0, 0.0, 0.0, 0.0
@@ -201,9 +288,7 @@ def poisson_report(mu: AtomicMeasure, mu_hat: AtomicMeasure, tf: TestFunction,
     complementary-error bounds for gaussians; zero on the frequency side
     for bumps once the support is covered).
     """
-    lhs = 0j
-    for loc, m in mu.atoms:
-        lhs += m * transform_c(tf, loc - t)
+    lhs = _pair_transform(mu, tf, t)
     rhs = 0j
     for loc, m in mu_hat.atoms:
         rhs += m * tf.value(loc.real) * cmath.exp(1j * TWO_PI * t * loc.real)
@@ -252,10 +337,7 @@ def contour_residue_report(p: ExpPolynomial, tf: TestFunction,
                                   max_panels=20000)[0] for a, b in rect.edges)
 
     zeros = find_zeros(p, rect, allow_jitter=False)
-    res = 0j
-    for loc, m in zeros.atoms:
-        res += m * transform_c(tf, loc)
-    res *= 2j * math.pi
+    res = 2j * math.pi * _pair_transform(zeros, tf)
     return ContourReport(integral=total, residue_sum=res,
                          residual=abs(total - res))
 

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Most panels evaluated in one call of the integrand (16 nodes each); a
+#: refinement level with more panels is evaluated in several calls.
+BATCH_PANELS = 256
+
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -27,9 +31,11 @@ def integrate_segment(f, a: complex, b: complex, abs_tol: float,
     Panels are split while the GL8/GL16 discrepancy exceeds the share of
     ``abs_tol`` proportional to panel length.  Returns (value, error
     estimate); when the panel budget runs out (a pole hugging the path, or
-    an integrand noise floor above the tolerance) the remaining discrepancy
-    is reported in the error estimate rather than raised, so callers gate
-    on the estimate.
+    an integrand noise floor above the tolerance) every panel of the last
+    level is still summed, and the remaining discrepancy is reported in the
+    error estimate rather than raised, so callers gate on the estimate.
+    Each level is evaluated at most BATCH_PANELS panels per call of ``f``,
+    which bounds the memory of one call.
     """
     x_lo, w_lo = gauss_legendre(8)
     x_hi, w_hi = gauss_legendre(16)
@@ -53,12 +59,16 @@ def integrate_segment(f, a: complex, b: complex, abs_tol: float,
         tb = np.array([s[1] for s in pending])
         mid = 0.5 * (ta + tb)
         half = 0.5 * (tb - ta)
-        z_lo = a + dz * (mid[:, None] + half[:, None] * x_lo[None, :])
-        z_hi = a + dz * (mid[:, None] + half[:, None] * x_hi[None, :])
-        f_lo = f(z_lo.ravel()).reshape(z_lo.shape)
-        f_hi = f(z_hi.ravel()).reshape(z_hi.shape)
-        i_lo = (f_lo * w_lo).sum(axis=1) * half * dz
-        i_hi = (f_hi * w_hi).sum(axis=1) * half * dz
+        i_lo = np.empty(len(pending), dtype=complex)
+        i_hi = np.empty(len(pending), dtype=complex)
+        for k in range(0, len(pending), BATCH_PANELS):
+            b = slice(k, k + BATCH_PANELS)
+            z_lo = a + dz * (mid[b, None] + half[b, None] * x_lo[None, :])
+            z_hi = a + dz * (mid[b, None] + half[b, None] * x_hi[None, :])
+            f_lo = f(z_lo.ravel()).reshape(z_lo.shape)
+            f_hi = f(z_hi.ravel()).reshape(z_hi.shape)
+            i_lo[b] = (f_lo * w_lo).sum(axis=1) * half[b] * dz
+            i_hi[b] = (f_hi * w_hi).sum(axis=1) * half[b] * dz
         err = np.abs(i_hi - i_lo)
         budget = abs_tol * (tb - ta)
         done = (err <= budget) | (half * 2.0 <= min_len)

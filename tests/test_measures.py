@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -23,12 +24,26 @@ from sinecomb import (
     poisson_report,
     transform_c,
 )
-from sinecomb.errors import PreconditionError
+from sinecomb.errors import PreconditionError, QuadratureFailureError
 from sinecomb.zeros import AtomicMeasure
 
 from conftest import Y0
 
 PI = math.pi
+
+
+def mp_bump_transform(r, t0, z):
+    """mpmath oracle for bump(r, t0) at z: (transform, integral of
+    |phi(t) e^{-2 pi i z t}| dt)."""
+    with mpmath.workdps(20):
+        z = mpmath.mpc(z)
+
+        def term(u):  # t = t0 + r*u
+            return mpmath.exp(1 - 1 / (1 - u * u) - 2j * mpmath.pi * z * (t0 + r * u))
+
+        value = r * mpmath.quad(term, [-1, 0, 1])
+        l1 = r * mpmath.quad(lambda u: abs(term(u)), [-1, 0, 1])
+    return complex(value), float(l1)
 
 
 def coefficient_pair(p, gamma_max):
@@ -100,6 +115,35 @@ class TestTransform:
         slope = np.polyfit(np.log(xs), np.log(vals), 1)[0]
         assert slope <= -4.0
 
+    @pytest.mark.parametrize("r, t0, zs", [
+        (1.0, 0.0, (0.5 + 60j,)),
+        (0.75, 0.4, (0.5 + 60j, 2.0 - 35j, -1.5 + 0.2j)),
+        (1.3, -0.25, (7.5 + 2j, -3.0 - 12j)),
+    ])
+    def test_bump_matches_mpmath_within_l1_bound(self, r, t0, zs):
+        # the gate is 1e-12 of the integral of |integrand|, which at Im z = 60
+        # is the modulus of the transform itself up to a small factor
+        tf = bump(r, t0)
+        values = transform_c(tf, np.array(zs))
+        for z, value in zip(zs, values):
+            exact, l1 = mp_bump_transform(r, t0, z)
+            assert abs(value - exact) <= 1e-12 * l1
+            assert abs(transform_c(tf, z) - exact) <= 1e-12 * l1
+
+    def test_bump_far_along_real_axis(self):
+        # the transform is below 1e-50 here; the step must resolve the
+        # oscillation of e^{-2 pi i x t} instead of failing to settle
+        tf = bump(1.0)
+        values = transform_c(tf, np.array([2500.0, 5000.0 + 0.3j, 10000.0]))
+        assert np.all(np.abs(values) <= 1e-12)
+
+    def test_bump_out_of_double_range_raises(self):
+        # |transform| is about e^900 at Im z = 150
+        with pytest.raises(QuadratureFailureError):
+            transform_c(bump(1.0), 0.5 + 150j)
+        with pytest.raises(QuadratureFailureError):
+            transform_c(bump(1.0), np.array([0.0, 0.5 + 150j]))
+
     def test_bump_vanishes_outside_support(self):
         tf = bump(0.5, 2.0)
         assert tf.value(2.6) == 0.0
@@ -147,6 +191,12 @@ class TestPoisson:
         assert abs(rep.lhs - lhs_oracle) < 1e-13
         assert abs(rep.rhs - rhs_oracle) < 1e-13
         assert rep.residual <= 1e-10 * (1 + abs(rep.lhs))
+
+    def test_transform_out_of_double_range_raises(self):
+        # the gaussian transform at Im z = 30 is about e^2800
+        mu = AtomicMeasure.from_atoms([(0.5 + 30j, 1), (1.0, 1)])
+        with pytest.raises(QuadratureFailureError):
+            poisson_report(mu, mu, gaussian(1.0), 0.0)
 
     def test_bump_test_function(self):
         # bump support [-1, 1] touches only gamma = 0 on the frequency side;
