@@ -167,8 +167,9 @@ def transform_c(tf: TestFunction, z):
     """Entire extension of the Fourier transform of ``tf`` at complex ``z``.
 
     ``z`` is a scalar (returns complex) or an ndarray (returns an array of
-    its shape).  Gaussian: closed form s * exp(-2*pi*i*t0*z) * exp(-pi*s^2*z^2).
-    An ndarray value beyond the double range raises QuadratureFailureError.
+    its shape); a scalar takes the ndarray path as a size-1 array.
+    Gaussian: closed form s * exp(-2*pi*i*t0*z) * exp(-pi*s^2*z^2); a value
+    beyond the double range raises QuadratureFailureError.
     Bump: integral phi(t) e^{-2*pi*i*z*t} dt by the tanh-sinh rule
     t = t0 + r*tanh(pi/2 sinh tau), summed as a trapezoid rule in tau at
     steps 1/2, 1/4, ..., 2^-BUMP_LEVELS, each step adding only the new
@@ -179,22 +180,19 @@ def transform_c(tf: TestFunction, z):
     transform leaves the double range), or when a point is still off by
     more than ten times its bound at the finest step.
     """
+    flat = np.asarray(z, dtype=complex).ravel()
     if tf.kind == "gaussian":
-        if isinstance(z, np.ndarray):
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = tf.scale * np.exp(-2j * math.pi * tf.center * z
-                                        - math.pi * tf.scale ** 2 * z * z)
-            if not np.isfinite(out).all():
-                raise QuadratureFailureError(
-                    "gaussian transform out of floating-point range")
-            return out
-        z = complex(z)
-        return tf.scale * cmath.exp(-2j * math.pi * tf.center * z
-                                    - math.pi * tf.scale ** 2 * z * z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = tf.scale * np.exp(-2j * math.pi * tf.center * flat
+                                    - math.pi * tf.scale ** 2 * flat * flat)
+        if not np.isfinite(out).all():
+            raise QuadratureFailureError(
+                "gaussian transform out of floating-point range")
+    else:
+        out = _bump_transform(tf, flat)
     if isinstance(z, np.ndarray):
-        flat = np.asarray(z, dtype=complex).ravel()
-        return _bump_transform(tf, flat).reshape(z.shape)
-    return complex(_bump_transform(tf, np.array([complex(z)]))[0])
+        return out.reshape(z.shape)
+    return complex(out[0])
 
 
 def fourier_measure(upper: DirichletCoefficients,

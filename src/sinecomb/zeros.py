@@ -2,20 +2,30 @@
 
 Counting uses the argument principle: the winding number
 (1/2*pi*i) * contour integral of p'/p over the rectangle boundary equals the
-number of zeros inside, with multiplicity.  Localization subdivides the
-rectangle until each cell either holds a single zero (then refined by
-Newton's method on the logarithmic derivative) or has shrunk to the
-clustering tolerance (then reported as one atom whose mass is the cell's
-winding number).
+number of zeros inside, with multiplicity.  Localization runs in three
+stages.
 
-Subdivision is organized in two phases.  Full-height vertical slabs are
-split first; their winding numbers need only vertical line integrals plus
-cumulative horizontal pieces, which telescope, so each new split line costs
-one short integral instead of a full contour.  Slabs that cannot be split
-further (conjugate pairs share a real part, clusters, multiple zeros) fall
-back to plain two-dimensional bisection.  Sub-rectangle counts always
-telescope exactly (child2 = parent - child1), so the total mass returned
-equals the top-level count by construction.
+Slabs.  Full-height vertical slabs are split first; their winding numbers
+need only vertical line integrals plus cumulative horizontal pieces, which
+telescope, so each new split line costs one short integral instead of a
+full contour.  A slab stops splitting once it holds at most MOMENT_MAX
+zeros.
+
+Moment cells.  A cell holding n <= MOMENT_MAX zeros is resolved from its
+contour moments s_k = (1/2*pi*i) contour integral of phi^k p'/p, k < 2n,
+in the cell's own scaled coordinate phi (Delves & Lyness 1967; Kravanja &
+Van Barel, LNM 1727, 2000): the Hankel rank counts the distinct zeros, a
+Hankel pencil locates them, a Vandermonde solve gives their
+multiplicities, and Newton's method polishes each one.  Gates on the
+quadrature's own error estimate decide whether the result stands.
+
+Bisection.  A cell that fails a gate of the moment stage, or holds more
+zeros than MOMENT_MAX and cannot be split as a slab, is bisected in two
+dimensions until each cell holds a single zero (refined by Newton's method)
+or has shrunk to the clustering tolerance (reported as one atom whose mass
+is the cell's winding number).  Sub-rectangle counts always telescope
+exactly (child2 = parent - child1), so the total mass returned equals the
+top-level count by construction.
 """
 
 from __future__ import annotations
@@ -47,6 +57,23 @@ EDGE_TOL = 2e-6
 #: Rectangle jitter is below this fraction of the rectangle size.
 JITTER_FRACTION = 0.01
 MAX_BOUNDARY_TRIES = 5
+#: Cells holding 2..MOMENT_MAX zeros are resolved from their contour
+#: moments: enough for a 5-fold zero with a double or triple one beside it.
+MOMENT_MAX = 8
+#: Absolute tolerance of one edge integral of the moment integrands.
+MOMENT_TOL = 1e-10
+#: Panel budget of one edge integral of the moment integrands; past it the
+#: integrand is rounding noise (an edge near a multiple zero) and the error
+#: estimate, which the gates read, says so.
+MOMENT_PANELS = 250
+#: Double-precision floor of a moment's error, added to the quadrature's.
+MOMENT_ROUNDING = 1e-13
+#: Hankel singular values must clear the noise level by this factor.
+RANK_GAP = 1e3
+#: Multiplicities from the Vandermonde solve must lie this close to integers.
+MASS_ACCEPT = 1e-3
+#: The accepted atoms must reproduce every moment within this many noise levels.
+MOMENT_REPRODUCE = 10.0
 _DEFAULT_SEED = 271828
 
 
@@ -196,6 +223,13 @@ def _clearance(p: ExpPolynomial, z: complex) -> float:
     return abs(pv / dv)
 
 
+def _nearest(z: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest other one (inf when alone)."""
+    dist = np.abs(np.subtract.outer(z, z))
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
+
+
 def _noise_radius(mult: int) -> float:
     """Distance below which |p| near an m-fold zero is double-precision
     rounding noise of the term sum: (pi*r)^m ~ 1e-13."""
@@ -203,7 +237,7 @@ def _noise_radius(mult: int) -> float:
 
 
 def _newton_refine(p: ExpPolynomial, z0: complex, mult: int, tol: float,
-                   escape: float, max_iter: int = 60):
+                   escape: float, max_iter: int = 60, stall_ok: bool = False):
     """Multiplicity-corrected Newton iteration z -> z - mult*p/p'.
 
     Returns (z, converged).  Near a zero of multiplicity ``mult`` the
@@ -211,7 +245,9 @@ def _newton_refine(p: ExpPolynomial, z0: complex, mult: int, tol: float,
     splits an exact multiple zero into a microscopic cluster, below which
     the steps stop contracting; stagnation at that scale counts as
     converged (the final polish runs on a derivative where the zero is
-    simple).
+    simple).  With ``stall_ok`` it counts as converged at a simple zero too:
+    a simple zero stagnates where a multiple zero lies close, because the
+    value there is rounding noise of the term sum.
     """
     z = z0
     prev_step = math.inf
@@ -229,7 +265,8 @@ def _newton_refine(p: ExpPolynomial, z0: complex, mult: int, tol: float,
         s = abs(step)
         if s < tol:
             return z, True
-        if mult > 1 and s < 1e-6 * (1.0 + abs(z)) and s > 0.25 * prev_step:
+        if ((mult > 1 or stall_ok) and s < 1e-6 * (1.0 + abs(z))
+                and s > 0.25 * prev_step):
             stall += 1
             if stall >= 3:
                 return z, True
@@ -250,6 +287,13 @@ class _Search:
         self.y_newton = 0.5 * (y_zero_band[0] + y_zero_band[1])
         self.v_cache: dict[float, complex] = {}
         self.h_cache: dict[tuple[float, float, float], complex] = {}
+        self.derivatives = [p]
+
+    def _derivative(self, k: int) -> ExpPolynomial:
+        """p^(k), built once per search."""
+        while len(self.derivatives) <= k:
+            self.derivatives.append(self.derivatives[-1].derivative())
+        return self.derivatives[k]
 
     # -- cached contour pieces (slab phase) --------------------------------
 
@@ -417,16 +461,138 @@ class _Search:
     def _polish_multiple(self, z: complex, mult: int) -> tuple[complex, bool]:
         """Refine the location of an m-fold zero on the (m-1)-th derivative,
         where it is a simple zero free of the |p| cancellation noise."""
-        q = self.p
-        for _ in range(mult - 1):
-            q = q.derivative()
-        z2, ok = _newton_refine(q, z, 1, self.tol,
+        z2, ok = _newton_refine(self._derivative(mult - 1), z, 1, self.tol,
                                 escape=max(100.0 * _noise_radius(mult), 1e-4))
         return (z2, True) if ok else (z, False)
 
-    def resolve_cell(self, rect: Rect, n: int, atoms: list):
-        """Resolve a cell known to hold ``n`` zeros into atoms."""
+    # -- moment stage -----------------------------------------------------------
+
+    def _moments(self, rect: Rect, rows: int) -> tuple[np.ndarray, float]:
+        """s_k = (1/2*pi*i) contour integral of phi^k p'/p for k < rows, with
+        phi = (z - c)/r on the cell's centre c and half-diagonal r, so that
+        |phi| <= 1 on the boundary; returns (s, noise), where noise bounds
+        the error of every s_k by the quadrature's own estimate."""
+        c = rect.center
+        r = 0.5 * math.hypot(rect.width, rect.height)
+
+        def integrand(z):
+            out = np.empty((rows, z.size), dtype=complex)
+            out[0] = self.p.log_ratio(z)
+            out[1:] = (z - c) / r
+            return np.cumprod(out, axis=0, out=out)
+
+        total = np.zeros(rows, dtype=complex)
+        err = 0.0
+        for a, b in rect.edges:
+            value, e = integrate_segment(integrand, a, b, MOMENT_TOL,
+                                         max_panels=MOMENT_PANELS)
+            total += value
+            err += e
+        return total / (2j * math.pi), err / (2.0 * math.pi) + MOMENT_ROUNDING
+
+    def _newton_noise(self, z: complex, mult: int) -> float:
+        """Distance to which Newton's method can place an m-fold zero near
+        ``z``: the rounding noise of p^(m-1), its largest term times
+        N * 2^-52 for N terms, over |p^(m)|.  It is large where another
+        multiple zero lies close."""
+        q = self._derivative(mult - 1)
+        point = np.array([z])
+        _, log_scale = q.log_abs(point)
+        log_slope, _ = self._derivative(mult).log_abs(point)
+        return q.n_terms * 2.0 ** -52 * _exp(log_scale[0] - log_slope[0])
+
+    def _locate(self, z0: complex, mult: int, reach: float, rect: Rect):
+        """Place one zero of the moment pencil: (z, uncertainty), or None.
+
+        Newton's method polishes ``z0`` on p^(m-1), where an m-fold zero is
+        simple, down to the rounding noise of its values (_newton_noise).  A
+        correction within a few times that noise is noise, and ``z0``
+        stands: near another multiple zero the moments, taken far from
+        both, place the zero better than any value of p near it can.  The
+        result, widened by its uncertainty, must stay inside the cell and
+        nearer to ``z0`` than ``reach`` (half the distance to the next
+        pencil zero).
+        """
+        q = self._derivative(mult - 1)
+        noise = self._newton_noise(z0, mult)
+        z, ok = _newton_refine(q, z0, 1, max(self.tol, noise), escape=reach,
+                               stall_ok=True)
+        if not ok:
+            return None
+        if abs(z - z0) <= 4.0 * noise:
+            z = z0
+        spread = max(noise, _clearance(q, z))
+        if rect.contains(z) and abs(z - z0) + spread < reach:
+            return z, spread
+        return None
+
+    def resolve_by_moments(self, rect: Rect, n: int, atoms: list) -> bool:
+        """Resolve a cell holding 1 <= n <= MOMENT_MAX zeros from its
+        moments (Delves & Lyness 1967; Kravanja & Van Barel 2000).
+
+        With distinct zeros phi_j of multiplicities m_j, s_k = sum_j m_j
+        phi_j^k: the rank of the Hankel matrix [s_(i+j)] is the number d of
+        distinct zeros, the pencil ([s_(i+j+1)], [s_(i+j)]) reduced to its
+        rank-d part has eigenvalues phi_j, and a Vandermonde solve on
+        s_0..s_(d-1) gives the m_j.  Each zero is then placed by _locate.
+        The atoms are appended only if every gate holds: a clear rank gap
+        above the noise, near-integer multiplicities >= 1 summing to n,
+        every zero placed inside the cell and apart by CLUSTER_TOL, and the
+        atoms reproducing every measured moment; otherwise nothing is
+        appended and False is returned.
+        """
+        s, noise = self._moments(rect, 2 * n)
+        h0 = np.array([s[i:i + n] for i in range(n)])
+        h1 = np.array([s[i + 1:i + n + 1] for i in range(n)])
+        u, sv, vh = np.linalg.svd(h0)
+        level = n * noise  # bounds the 2-norm of the Hankel matrix's error
+        d = int((sv > level).sum())
+        if d == 0 or sv[d - 1] < RANK_GAP * level:
+            return False
+        pencil = (u[:, :d].conj().T @ h1 @ vh[:d].conj().T) / sv[:d, None]
+        phi = np.linalg.eigvals(pencil)
+        mass = np.linalg.solve(np.vander(phi, d, increasing=True).T, s[:d])
+        mult = np.rint(mass.real)
+        if (np.abs(mass - mult).max() > MASS_ACCEPT or mult.min() < 1
+                or mult.sum() != n):
+            return False
+
+        c = rect.center
+        r = 0.5 * math.hypot(rect.width, rect.height)
+        z_pencil = c + r * phi
+        reach = 0.5 * np.minimum(_nearest(z_pencil), 4.0 * r)
+        placed = [self._locate(*args, rect) for args in zip(
+            z_pencil.tolist(), mult.astype(int).tolist(), reach.tolist())]
+        if None in placed:
+            return False
+        locs = np.array([z for z, _ in placed])
+        if _nearest(locs).min() < CLUSTER_TOL:
+            return False
+        # the atoms must reproduce every moment, within its noise plus the
+        # moment's change over each atom's uncertainty
+        powers = np.vander((locs - c) / r, 2 * n, increasing=True)
+        slope = np.zeros(powers.shape)
+        slope[:, 1:] = np.abs(powers[:, :-1]) * np.arange(1, 2 * n)
+        slack = (mult * np.array([spread for _, spread in placed]) / r) @ slope
+        if (np.abs(mult @ powers - s) > MOMENT_REPRODUCE * (noise + slack)).any():
+            return False
+        atoms.extend((z, int(m), False) for z, m in zip(locs.tolist(), mult))
+        return True
+
+    # -- bisection ------------------------------------------------------------
+
+    def resolve_cell(self, rect: Rect, n: int, atoms: list,
+                     moments: bool = True):
+        """Resolve a cell known to hold ``n`` zeros into atoms: from its
+        moments when 2 <= n <= MOMENT_MAX, else, or when a gate of the moment
+        stage fails, by Newton's method and bisection.  A single zero that
+        Newton's method misses from the cell centre is also tried from the
+        moments before bisecting.  ``moments`` False skips the moment stage
+        (the caller already tried this cell)."""
         if n == 0:
+            return
+        if moments and 2 <= n <= MOMENT_MAX and self.resolve_by_moments(
+                rect, n, atoms):
             return
         diam = math.hypot(rect.width, rect.height)
         start = rect.center
@@ -443,6 +609,8 @@ class _Search:
                 z, _ = self._polish_multiple(z, n)
                 atoms.append((z, n, False))
                 return
+        elif n == 1 and moments and self.resolve_by_moments(rect, 1, atoms):
+            return
         def cluster_atom():
             if n >= 2:
                 zc, polished = self._polish_multiple(z if ok else rect.center, n)
@@ -488,14 +656,16 @@ class _Search:
             a, b, n = stack.pop()
             if n == 0:
                 continue
+            slab = Rect(a, b, self.rect.y_min, self.rect.y_max)
+            tried = 2 <= n <= MOMENT_MAX
+            if tried and self.resolve_by_moments(slab, n, atoms):
+                continue
             if n == 1 or (b - a) <= slab_floor:
-                self.resolve_cell(Rect(a, b, self.rect.y_min, self.rect.y_max),
-                                  n, atoms)
+                self.resolve_cell(slab, n, atoms, moments=not tried)
                 continue
             c = self._safe_vertical_line(a, b, self.rect.y_min, self.rect.y_max)
             if c is None:
-                self.resolve_cell(Rect(a, b, self.rect.y_min, self.rect.y_max),
-                                  n, atoms)
+                self.resolve_cell(slab, n, atoms, moments=not tried)
                 continue
             self._split_horizontals(a, b, c)
             n_left = self.slab_count(a, c)

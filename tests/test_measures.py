@@ -90,6 +90,13 @@ class TestTransform:
     def test_gaussian_at_i(self):
         assert abs(transform_c(gaussian(1.0), 1j) - math.exp(PI)) < 1e-12
 
+    def test_gaussian_scalar_out_of_double_range_raises(self):
+        # about e^2800 at Im z = 30: a scalar raises like an array does,
+        # not with a bare OverflowError
+        with pytest.raises(QuadratureFailureError):
+            transform_c(gaussian(1.0), 0.5 + 30j)
+        assert isinstance(transform_c(gaussian(1.0), 0.5 + 3j), complex)
+
     def test_gaussian_matches_quadrature_on_real_axis(self):
         tf = gaussian(1.5, 0.3)
         cut = 14.0  # gaussian is < 1e-25 beyond t0 +- cut
