@@ -150,6 +150,13 @@ class ExpPolynomial:
         exponential, so their ratio is the true one."""
         return self._sums(z, self._shift(z.imag))
 
+    def scaled_term_max(self, y: float) -> float:
+        """max_j |q_j e^{2*pi*i*omega_j*z}| at Im z = ``y``, divided by the
+        same dominant exponential as :meth:`scaled_values`."""
+        shift = self._shift(y)
+        return max(abs(q) * math.exp(-TWO_PI * w * y - shift)
+                   for w, q in self.terms)
+
     def log_ratio(self, z):
         """p'(z)/p(z) for scalar or ndarray ``z``, free of overflow.
 

@@ -331,8 +331,9 @@ def contour_residue_report(p: ExpPolynomial, tf: TestFunction,
     def integrand(z):
         return transform_c(tf, z) * p.log_ratio(z)
 
-    total = sum(integrate_segment(integrand, a, b, CONTOUR_EDGE_TOL,
-                                  max_panels=20000)[0] for a, b in rect.edges)
+    a, b = np.array(rect.edges).T
+    total = integrate_segment(integrand, a, b, CONTOUR_EDGE_TOL,
+                              max_panels=20000)[0].sum()
 
     zeros = find_zeros(p, rect, allow_jitter=False)
     res = 2j * math.pi * _pair_transform(zeros, tf)

@@ -285,8 +285,8 @@ class _Search:
         self.rect = rect
         self.tol = tol
         self.y_newton = 0.5 * (y_zero_band[0] + y_zero_band[1])
-        self.v_cache: dict[float, complex] = {}
-        self.h_cache: dict[tuple[float, float, float], complex] = {}
+        #: edge integrals of p'/p, keyed by (start, end)
+        self.edge_cache: dict[tuple[complex, complex], complex] = {}
         self.derivatives = [p]
 
     def _derivative(self, k: int) -> ExpPolynomial:
@@ -297,42 +297,39 @@ class _Search:
 
     # -- cached contour pieces (slab phase) --------------------------------
 
-    def _edge(self, a: complex, b: complex, tol: float = EDGE_TOL) -> complex:
-        return integrate_segment(self.p.log_ratio, a, b, tol)[0]
+    def _edges(self, ends: list[tuple[complex, complex]],
+               tol: float | None = None) -> list[complex]:
+        """Integrals of p'/p along the (start, end) segments ``ends``.  Those
+        not cached are integrated in one quadrature pass at EDGE_TOL; a
+        ``tol`` integrates all of them again at that tolerance."""
+        todo = [e for e in ends if tol is not None or e not in self.edge_cache]
+        if todo:
+            a, b = np.array(todo).T
+            values = integrate_segment(self.p.log_ratio, a, b,
+                                       EDGE_TOL if tol is None else tol)[0]
+            self.edge_cache.update(zip(todo, values.tolist()))
+        return [self.edge_cache[e] for e in ends]
 
-    def _vertical(self, x: float) -> complex:
-        if x not in self.v_cache:
-            self.v_cache[x] = self._edge(complex(x, self.rect.y_min),
-                                         complex(x, self.rect.y_max))
-        return self.v_cache[x]
-
-    def _horizontal(self, y: float, a: float, b: float) -> complex:
-        key = (y, a, b)
-        if key not in self.h_cache:
-            self.h_cache[key] = self._edge(complex(a, y), complex(b, y))
-        return self.h_cache[key]
+    def _slab_edges(self, a: float, b: float) -> list[tuple[complex, complex]]:
+        """Bottom, right, top and left sides of the slab a < x < b; the
+        horizontals run left to right and the verticals upwards, so the
+        pieces are shared with the neighbouring slabs."""
+        y0, y1 = self.rect.y_min, self.rect.y_max
+        return [(complex(a, y0), complex(b, y0)), (complex(b, y0), complex(b, y1)),
+                (complex(a, y1), complex(b, y1)), (complex(a, y0), complex(a, y1))]
 
     def _split_horizontals(self, a: float, b: float, c: float):
-        """Populate the (a,c) and (c,b) pieces from the cached (a,b) ones."""
-        for y in (self.rect.y_min, self.rect.y_max):
-            whole = self._horizontal(y, a, b)
-            left = self._horizontal(y, a, c)
-            self.h_cache[(y, c, b)] = whole - left
-
-    def _refine_slab_pieces(self, a: float, b: float, tol: float):
-        for y in (self.rect.y_min, self.rect.y_max):
-            self.h_cache[(y, a, b)] = self._edge(complex(a, y),
-                                                 complex(b, y), tol)
-        for x in (a, b):
-            self.v_cache[x] = self._edge(complex(x, self.rect.y_min),
-                                         complex(x, self.rect.y_max), tol)
+        """Integrate the (a, c) horizontals and the vertical at c in one pass,
+        and take the (c, b) horizontals from the cached (a, b) ones."""
+        left = self._edges(self._slab_edges(a, c))
+        whole = self._edges(self._slab_edges(a, b)[0::2])
+        right = self._slab_edges(c, b)[0::2]
+        for piece, w, part in zip(right, whole, left[0::2]):
+            self.edge_cache[piece] = w - part
 
     def _slab_raw_winding(self, a: float, b: float) -> complex:
-        total = (self._horizontal(self.rect.y_min, a, b)
-                 + self._vertical(b)
-                 - self._horizontal(self.rect.y_max, a, b)
-                 - self._vertical(a))
-        return total / (2j * math.pi)
+        bottom, right, top, left = self._edges(self._slab_edges(a, b))
+        return (bottom + right - top - left) / (2j * math.pi)
 
     def slab_count(self, a: float, b: float) -> int:
         for escalation in range(3):
@@ -340,7 +337,8 @@ class _Search:
             n = round(w.real)
             if abs(w - n) < WINDING_ACCEPT and n >= 0:
                 return n
-            self._refine_slab_pieces(a, b, EDGE_TOL / 256.0 ** (escalation + 1))
+            self._edges(self._slab_edges(a, b),
+                        EDGE_TOL / 256.0 ** (escalation + 1))
         w = self._slab_raw_winding(a, b)
         n = round(w.real)
         if abs(w - n) <= WINDING_FAIL and n >= 0:
@@ -363,11 +361,11 @@ class _Search:
         settling within 0.2 of one still counts zeros correctly.
         """
         w = None
+        a, b = np.array(rect.edges).T
         for tol, accept in ladder:
-            total = sum(integrate_segment(self.p.log_ratio, a, b, tol,
-                                          max_panels=2000)[0]
-                        for a, b in rect.edges)
-            w = total / (2j * math.pi)
+            values, _ = integrate_segment(self.p.log_ratio, a, b, tol,
+                                          max_panels=2000)
+            w = values.sum() / (2j * math.pi)
             n = round(w.real)
             if abs(w - n) < accept and n >= 0:
                 return n
@@ -481,14 +479,11 @@ class _Search:
             out[1:] = (z - c) / r
             return np.cumprod(out, axis=0, out=out)
 
-        total = np.zeros(rows, dtype=complex)
-        err = 0.0
-        for a, b in rect.edges:
-            value, e = integrate_segment(integrand, a, b, MOMENT_TOL,
-                                         max_panels=MOMENT_PANELS)
-            total += value
-            err += e
-        return total / (2j * math.pi), err / (2.0 * math.pi) + MOMENT_ROUNDING
+        a, b = np.array(rect.edges).T
+        values, err = integrate_segment(integrand, a, b, MOMENT_TOL,
+                                        max_panels=MOMENT_PANELS)
+        return (values.sum(axis=1) / (2j * math.pi),
+                err / (2.0 * math.pi) + MOMENT_ROUNDING)
 
     def _newton_noise(self, z: complex, mult: int) -> float:
         """Distance to which Newton's method can place an m-fold zero near
@@ -496,10 +491,10 @@ class _Search:
         N * 2^-52 for N terms, over |p^(m)|.  It is large where another
         multiple zero lies close."""
         q = self._derivative(mult - 1)
-        point = np.array([z])
-        _, log_scale = q.log_abs(point)
-        log_slope, _ = self._derivative(mult).log_abs(point)
-        return q.n_terms * 2.0 ** -52 * _exp(log_scale[0] - log_slope[0])
+        _, slope = q.scaled_values(z)
+        if slope == 0:
+            return math.inf
+        return q.n_terms * 2.0 ** -52 * q.scaled_term_max(z.imag) / abs(slope)
 
     def _locate(self, z0: complex, mult: int, reach: float, rect: Rect):
         """Place one zero of the moment pencil: (z, uncertainty), or None.

@@ -1,8 +1,17 @@
-"""Adaptive segment quadrature: batch bound and budget exhaustion."""
+"""Adaptive segment quadrature: batch bound, budget exhaustion, several
+segments in one call; and the Newton noise floor of the moment stage."""
 
 import cmath
+import math
 
+import numpy as np
+import pytest
+
+from sinecomb import ExpPolynomial, Rect, SineProduct, expand_sine_product
 from sinecomb.quadrature import BATCH_PANELS, integrate_segment
+from sinecomb.zeros import _Search
+
+from test_overflow import twelve_terms
 
 
 def test_near_pole_calls_stay_bounded_and_sum_every_panel():
@@ -22,3 +31,130 @@ def test_near_pole_calls_stay_bounded_and_sum_every_panel():
     assert sum(sizes) > 24 * 10000  # the budget ran out: most panels summed
     assert abs(value - exact) <= 1e-12
     assert err < 1e-12
+
+
+# -- several segments in one call --------------------------------------------------
+
+def _moment_rows(p, rows, c=0.2 + 0.1j, r=1.5):
+    """p'/p times the powers ((z - c)/r)^k, k < rows, as a (rows, n) array."""
+    def f(z):
+        out = np.empty((rows, z.size), dtype=complex)
+        out[0] = p.log_ratio(z)
+        out[1:] = (z - c) / r
+        return np.cumprod(out, axis=0, out=out)
+    return f
+
+
+def _counted(f, sizes):
+    def g(z):
+        sizes.append(z.size)
+        return f(z)
+    return g
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+@pytest.mark.parametrize("tol, budget", [(2e-6, 8000), (1e-10, 250), (1e-13, 300)])
+def test_batched_call_matches_separate_calls(rows, tol, budget):
+    # the edges of a box around three zeros of sin(pi z) sin(sqrt2 pi z + 0.3),
+    # the right one passing 1e-3 from the zero at 1, and a zero-free segment
+    p = expand_sine_product(SineProduct.from_factors(
+        1.0, 0.0, [(math.pi, 0.0, 1), (math.sqrt(2) * math.pi, 0.3, 1)]))
+    f = p.log_ratio if rows == 1 else _moment_rows(p, rows)
+    corners = np.array([-0.5 - 0.5j, 1.001 - 0.5j, 1.001 + 0.5j, -0.5 + 0.5j])
+    a = np.append(corners, 2.1 + 3j)
+    b = np.append(np.roll(corners, -1), 2.8 + 3.2j)
+    batched_sizes, separate_sizes = [], []
+    values, err = integrate_segment(_counted(f, batched_sizes), a, b, tol,
+                                    max_panels=budget)
+    separate, errs = zip(*(integrate_segment(_counted(f, separate_sizes),
+                                             a[s], b[s], tol, max_panels=budget)
+                           for s in range(a.size)))
+    separate = np.stack(separate, axis=-1)
+    assert values.shape == ((a.size,) if rows == 1 else (rows, a.size))
+    assert sum(batched_sizes) == sum(separate_sizes)
+    assert len(batched_sizes) < len(separate_sizes)
+    assert np.all(np.abs(values - separate) <= 1e-14 * np.abs(separate))
+    assert err == pytest.approx(sum(errs), rel=1e-14)
+
+
+def test_exhausted_segment_does_not_cut_short_a_clean_one():
+    # 40 panels cannot resolve a pole 3e-4 off the first segment; the clean
+    # second segment must still refine to its tolerance in the same call
+    z0 = 0.5 + 3e-4j
+
+    def f(z):
+        return 1.0 / (z - z0)
+
+    a = np.array([0.0, 2.0 + 1.0j])
+    b = np.array([1.0, 3.0 + 1.5j])
+    sizes, near_sizes, clean_sizes = [], [], []
+    values, err = integrate_segment(_counted(f, sizes), a, b, 1e-14,
+                                    max_panels=40)
+    near, near_err = integrate_segment(_counted(f, near_sizes), a[0], b[0],
+                                       1e-14, max_panels=40)
+    clean, clean_err = integrate_segment(_counted(f, clean_sizes), a[1], b[1],
+                                         1e-14, max_panels=40)
+    assert near_err > 1e-6  # the budget ran out on the near-pole segment
+    assert clean_err <= 1e-14
+    assert values[0] == near and values[1] == clean
+    assert sum(sizes) == sum(near_sizes) + sum(clean_sizes)
+    exact = cmath.log(b[1] - z0) - cmath.log(a[1] - z0)
+    assert abs(values[1] - exact) <= 1e-14
+    assert err == near_err + clean_err
+
+
+def test_four_segments_share_the_batch_bound():
+    # a pole 3e-4 off each side of the unit square: every edge refines deep
+    poles = np.array([0.5 + 3e-4j, 1.0 - 3e-4 + 0.5j, 0.5 + 1j - 3e-4j, 3e-4 + 0.5j])
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        return (1.0 / np.subtract.outer(z, poles)).sum(axis=1)
+
+    corners = np.array([0, 1, 1 + 1j, 1j])
+    values, err = integrate_segment(f, corners, np.roll(corners, -1), 1e-12,
+                                    max_panels=4000)
+    assert max(sizes) <= 16 * BATCH_PANELS
+    assert sum(sizes) > 4 * 16 * BATCH_PANELS
+    assert abs(values.sum() - 4 * 2j * math.pi) <= 1e-9
+
+
+@pytest.mark.parametrize("a, b, shape", [
+    (0.5 + 1j, 0.5 + 1j, (3,)),
+    (np.array([0.0, 1.0]), np.array([0.0, 1.0 + 1j]), (3, 2)),
+    (np.array([1.0, 1j]), np.array([1.0, 1j]), (3, 2)),
+])
+def test_zero_length_segment_keeps_the_row_shape(a, b, shape):
+    f = _moment_rows(ExpPolynomial.from_terms([(0.0, 1.0), (1.0, 0.5)]), 3)
+    values, err = integrate_segment(f, a, b, 1e-10)
+    assert values.shape == shape
+    zero = (np.ravel(a) == np.ravel(b))
+    assert np.all(values.reshape(3, -1)[:, zero] == 0)
+    if not zero.all():
+        assert np.abs(values.reshape(3, -1)[:, ~zero]).min() > 0
+
+
+# -- Newton noise floor ------------------------------------------------------------
+
+def _newton_noise_by_log_abs(p, z, mult):
+    """The noise floor from the logs of |p^(m)| and of p^(m-1)'s largest term."""
+    q = p
+    for _ in range(mult - 1):
+        q = q.derivative()
+    point = np.array([z])
+    _, log_scale = q.log_abs(point)
+    log_slope, _ = q.derivative().log_abs(point)
+    return q.n_terms * 2.0 ** -52 * math.exp(log_scale[0] - log_slope[0])
+
+
+@pytest.mark.parametrize("mult", [1, 2, 3, 4, 5])
+def test_newton_noise_matches_the_log_abs_formula(mult):
+    p = twelve_terms()
+    search = _Search(p, Rect(-1.3, 1.1, -3.0, 0.5), 1e-12, (-3.0, 0.5))
+    for z in (0.3 - 0.2j, -1.1 + 0.35j, 0.9 - 2.5j, -0.45 - 1.0j):
+        noise = search._newton_noise(z, mult)
+        assert noise == pytest.approx(_newton_noise_by_log_abs(p, z, mult),
+                                      rel=1e-12)
+    for z in (0.2 + 40j, 0.2 - 40j, -1.0 - 40j):
+        assert 0 < search._newton_noise(z, mult) < math.inf
