@@ -2,30 +2,26 @@
 
 Counting uses the argument principle: the winding number
 (1/2*pi*i) * contour integral of p'/p over the rectangle boundary equals the
-number of zeros inside, with multiplicity.  Localization runs in three
-stages.
+number of zeros inside, with multiplicity.
 
-Slabs.  Full-height vertical slabs are split first; their winding numbers
-need only vertical line integrals plus cumulative horizontal pieces, which
-telescope, so each new split line costs one short integral instead of a
-full contour.  A slab stops splitting once it holds at most MOMENT_MAX
-zeros.
-
-Moment cells.  A cell holding n <= MOMENT_MAX zeros is resolved from its
-contour moments s_k = (1/2*pi*i) contour integral of phi^k p'/p, k < 2n,
+Moments.  A cell holding n zeros is resolved from its contour moments
+s_k = (1/2*pi*i) contour integral of phi^k p'/p, k < 2*min(n, MOMENT_MAX),
 in the cell's own scaled coordinate phi (Delves & Lyness 1967; Kravanja &
 Van Barel, LNM 1727, 2000): the Hankel rank counts the distinct zeros, a
 Hankel pencil locates them, a Vandermonde solve gives their
-multiplicities, and Newton's method polishes each one.  Gates on the
-quadrature's own error estimate decide whether the result stands.
+multiplicities, and Newton's method polishes each one.  Only the distinct
+zeros are bounded, so a cluster of high multiplicity resolves at once
+(Kravanja, Sakurai & Van Barel, BIT 39, 1999).  Gates on the quadrature's
+own error estimate decide whether the result stands.
 
-Bisection.  A cell that fails a gate of the moment stage, or holds more
-zeros than MOMENT_MAX and cannot be split as a slab, is bisected in two
-dimensions until each cell holds a single zero (refined by Newton's method)
-or has shrunk to the clustering tolerance (reported as one atom whose mass
-is the cell's winding number).  Sub-rectangle counts always telescope
-exactly (child2 = parent - child1), so the total mass returned equals the
-top-level count by construction.
+Splitting.  A cell that fails a gate, or is wider than the zero band and
+holds more than MOMENT_MAX zeros, is split across its longer side
+(vertically if wider than the band) by a line clear of zeros.  Counts come
+from edge integrals of p'/p in one cache: a split costs the split line and
+one half of each cut side, the other half telescoping from the parent's,
+so the total mass returned equals the top-level count by construction.  A
+cell below the rounding-noise radius of an n-fold zero is one n-fold atom;
+a cell that no clear line splits raises QuadratureFailureError.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from .errors import (
     BoundaryProximityError,
     EmptyPolynomialError,
     QuadratureFailureError,
-    ZeroFreeError,
 )
 from .quadrature import integrate_segment
 
@@ -50,15 +45,15 @@ CLUSTER_TOL = 1e-7
 BOUNDARY_SAFETY_REL = 1e-8
 #: Winding numbers are accepted once within this distance of an integer.
 WINDING_ACCEPT = 1e-3
-#: Beyond this distance from an integer the quadrature is declared failed.
-WINDING_FAIL = 0.1
 #: Absolute tolerance of one cached edge integral of p'/p.
 EDGE_TOL = 2e-6
 #: Rectangle jitter is below this fraction of the rectangle size.
 JITTER_FRACTION = 0.01
 MAX_BOUNDARY_TRIES = 5
-#: Cells holding 2..MOMENT_MAX zeros are resolved from their contour
-#: moments: enough for a 5-fold zero with a double or triple one beside it.
+#: Largest number of distinct zeros resolved in one cell: the Hankel
+#: matrix has at most this size, so a cell with more zeros resolves only
+#: if fewer than this many are distinct.  Enough for a 5-fold and a triple
+#: zero side by side, even where rounding splits them into simple zeros.
 MOMENT_MAX = 8
 #: Absolute tolerance of one edge integral of the moment integrands.
 MOMENT_TOL = 1e-10
@@ -189,17 +184,6 @@ def _segment_dips(p: ExpPolynomial, a: complex,
     return out
 
 
-def _segment_scan(p: ExpPolynomial, a: complex,
-                  b: complex) -> tuple[float, float]:
-    """Worst dip of the segment: (min |p| over the dips relative to the
-    term scale at the dip of least clearance, that least clearance); see
-    _segment_dips."""
-    dips = _segment_dips(p, a, b)
-    val = min(d[0] for d in dips)
-    _, scale, gap = min(dips, key=lambda d: d[2])
-    return math.exp(val - scale), gap
-
-
 def _boundary_ok(p: ExpPolynomial, rect: Rect) -> bool:
     """Every suspicious dip along the boundary keeps |p| / (pointwise max
     term magnitude) above the safety floor (see _segment_dips)."""
@@ -236,18 +220,14 @@ def _noise_radius(mult: int) -> float:
     return 1e-13 ** (1.0 / mult) / math.pi
 
 
-def _newton_refine(p: ExpPolynomial, z0: complex, mult: int, tol: float,
+def _newton_refine(p: ExpPolynomial, z0: complex, tol: float,
                    escape: float, max_iter: int = 60, stall_ok: bool = False):
-    """Multiplicity-corrected Newton iteration z -> z - mult*p/p'.
+    """Newton iteration z -> z - p/p' towards a simple zero.
 
-    Returns (z, converged).  Near a zero of multiplicity ``mult`` the
-    corrected step restores quadratic convergence.  Coefficient rounding
-    splits an exact multiple zero into a microscopic cluster, below which
-    the steps stop contracting; stagnation at that scale counts as
-    converged (the final polish runs on a derivative where the zero is
-    simple).  With ``stall_ok`` it counts as converged at a simple zero too:
-    a simple zero stagnates where a multiple zero lies close, because the
-    value there is rounding noise of the term sum.
+    Returns (z, converged).  With ``stall_ok``, steps that stop contracting
+    at a small scale count as converged: a simple zero stagnates where a
+    multiple zero lies close, because the value there is rounding noise of
+    the term sum.
     """
     z = z0
     prev_step = math.inf
@@ -258,15 +238,14 @@ def _newton_refine(p: ExpPolynomial, z0: complex, mult: int, tol: float,
             return z, True
         if dv == 0:
             return z, False
-        step = mult * pv / dv
+        step = pv / dv
         z = z - step
         if abs(z - z0) > escape:
             return z, False
         s = abs(step)
         if s < tol:
             return z, True
-        if ((mult > 1 or stall_ok) and s < 1e-6 * (1.0 + abs(z))
-                and s > 0.25 * prev_step):
+        if stall_ok and s < 1e-6 * (1.0 + abs(z)) and s > 0.25 * prev_step:
             stall += 1
             if stall >= 3:
                 return z, True
@@ -277,14 +256,19 @@ def _newton_refine(p: ExpPolynomial, z0: complex, mult: int, tol: float,
 
 
 class _Search:
-    """One find_zeros invocation: caches, tolerances, deterministic jitter."""
+    """One find_zeros invocation: the edge cache, p's derivatives and the
+    Newton tolerance."""
 
-    def __init__(self, p: ExpPolynomial, rect: Rect, tol: float,
-                 y_zero_band: tuple[float, float]):
+    def __init__(self, p: ExpPolynomial, rect: Rect, tol: float):
         self.p = p
-        self.rect = rect
         self.tol = tol
-        self.y_newton = 0.5 * (y_zero_band[0] + y_zero_band[1])
+        strip = zero_strip_estimate(p)
+        band = min(rect.y_max, strip.beta) - max(rect.y_min, strip.alpha)
+        #: cells wider than this split vertically, and skip moments while
+        #: they hold more than MOMENT_MAX zeros: their zeros lie along the
+        #: zero band, which a horizontal line cuts little of
+        self.slab_floor = max(0.75 * (band if band > 0 else rect.height),
+                              8.0 * CLUSTER_TOL)
         #: edge integrals of p'/p, keyed by (start, end)
         self.edge_cache: dict[tuple[complex, complex], complex] = {}
         self.derivatives = [p]
@@ -295,7 +279,7 @@ class _Search:
             self.derivatives.append(self.derivatives[-1].derivative())
         return self.derivatives[k]
 
-    # -- cached contour pieces (slab phase) --------------------------------
+    # -- counting on cached sides -------------------------------------------
 
     def _edges(self, ends: list[tuple[complex, complex]],
                tol: float | None = None) -> list[complex]:
@@ -310,68 +294,30 @@ class _Search:
             self.edge_cache.update(zip(todo, values.tolist()))
         return [self.edge_cache[e] for e in ends]
 
-    def _slab_edges(self, a: float, b: float) -> list[tuple[complex, complex]]:
-        """Bottom, right, top and left sides of the slab a < x < b; the
-        horizontals run left to right and the verticals upwards, so the
-        pieces are shared with the neighbouring slabs."""
-        y0, y1 = self.rect.y_min, self.rect.y_max
-        return [(complex(a, y0), complex(b, y0)), (complex(b, y0), complex(b, y1)),
-                (complex(a, y1), complex(b, y1)), (complex(a, y0), complex(a, y1))]
+    @staticmethod
+    def _sides(rect: Rect) -> list[tuple[complex, complex]]:
+        """Bottom, right, top and left sides of ``rect``; the horizontals run
+        left to right and the verticals upwards, so a side shared with a
+        neighbouring cell is one cache entry."""
+        x0, x1, y0, y1 = rect.x_min, rect.x_max, rect.y_min, rect.y_max
+        return [(complex(x0, y0), complex(x1, y0)), (complex(x1, y0), complex(x1, y1)),
+                (complex(x0, y1), complex(x1, y1)), (complex(x0, y0), complex(x0, y1))]
 
-    def _split_horizontals(self, a: float, b: float, c: float):
-        """Integrate the (a, c) horizontals and the vertical at c in one pass,
-        and take the (c, b) horizontals from the cached (a, b) ones."""
-        left = self._edges(self._slab_edges(a, c))
-        whole = self._edges(self._slab_edges(a, b)[0::2])
-        right = self._slab_edges(c, b)[0::2]
-        for piece, w, part in zip(right, whole, left[0::2]):
-            self.edge_cache[piece] = w - part
-
-    def _slab_raw_winding(self, a: float, b: float) -> complex:
-        bottom, right, top, left = self._edges(self._slab_edges(a, b))
-        return (bottom + right - top - left) / (2j * math.pi)
-
-    def slab_count(self, a: float, b: float) -> int:
-        for escalation in range(3):
-            w = self._slab_raw_winding(a, b)
+    def count(self, rect: Rect) -> int:
+        """Winding number of ``rect``; sides that do not settle it are
+        integrated again at tolerances 256, 256^2 and 256^3 times finer."""
+        for escalation in range(4):
+            if escalation:
+                self._edges(self._sides(rect), EDGE_TOL / 256.0 ** escalation)
+            bottom, right, top, left = self._edges(self._sides(rect))
+            w = (bottom + right - top - left) / (2j * math.pi)
             n = round(w.real)
             if abs(w - n) < WINDING_ACCEPT and n >= 0:
                 return n
-            self._edges(self._slab_edges(a, b),
-                        EDGE_TOL / 256.0 ** (escalation + 1))
-        w = self._slab_raw_winding(a, b)
-        n = round(w.real)
-        if abs(w - n) <= WINDING_FAIL and n >= 0:
-            raise QuadratureFailureError(
-                f"slab winding {w:.6g} did not settle below {WINDING_ACCEPT}")
-        raise QuadratureFailureError(f"non-integer slab winding {w:.6g}")
+        raise QuadratureFailureError(
+            f"winding {w:.6g} did not settle below {WINDING_ACCEPT}")
 
-    # -- plain four-edge winding (fallback phase) --------------------------
-
-    _LADDER = ((EDGE_TOL, WINDING_ACCEPT), (EDGE_TOL / 256.0, WINDING_ACCEPT),
-               (0.02, 0.2), (0.15, 0.4))
-
-    def winding4(self, rect: Rect, ladder=_LADDER) -> int:
-        """Four-edge winding number with a tolerance ladder.
-
-        Very close to a multiple zero, |p| cancels down to the rounding
-        noise of the term sum and p'/p carries an irreducible relative
-        error, so after the strict attempts a noise-tolerant pass with a
-        loose edge tolerance is tried: the winding is an exact integer, so
-        settling within 0.2 of one still counts zeros correctly.
-        """
-        w = None
-        a, b = np.array(rect.edges).T
-        for tol, accept in ladder:
-            values, _ = integrate_segment(self.p.log_ratio, a, b, tol,
-                                          max_panels=2000)
-            w = values.sum() / (2j * math.pi)
-            n = round(w.real)
-            if abs(w - n) < accept and n >= 0:
-                return n
-        raise QuadratureFailureError(f"winding did not settle (last {w})")
-
-    # -- split-line selection ----------------------------------------------
+    # -- splitting ------------------------------------------------------------
 
     _SPLIT_FRACTIONS = (0.5, 0.46, 0.54, 0.41, 0.59, 0.34, 0.66)
 
@@ -386,12 +332,14 @@ class _Search:
         noise zone of a multiple zero cannot be integrated along at all.
         """
         best = None
-        seg_len = hi - lo
         for frac in self._SPLIT_FRACTIONS:
             c = lo + frac * (hi - lo)
             a, b = seg_of(c)
             seg_len = abs(b - a)
-            ratio, gap = _segment_scan(self.p, a, b)
+            # the dip of least clearance, and the least |p| over its scale
+            dips = _segment_dips(self.p, a, b)
+            _, scale, gap = min(dips, key=lambda d: d[2])
+            ratio = math.exp(min(d[0] for d in dips) - scale)
             if gap > 1e-3 * seg_len:
                 return c
             if best is None or gap > best[1]:
@@ -399,67 +347,42 @@ class _Search:
         # the accepted line must keep all zeros at a distance the adaptive
         # quadrature can resolve (relative floor) and its |p| dip above the
         # term-sum rounding noise (absolute ratio floor)
-        if best is not None and best[1] > 1e-4 * seg_len and best[2] > 1e-11:
+        if best[1] > 1e-4 * seg_len and best[2] > 1e-11:
             return best[0]
         return None
 
-    def _safe_vertical_line(self, a: float, b: float, y0: float, y1: float):
-        return self._pick_line(a, b, lambda c: (complex(c, y0), complex(c, y1)))
-
-    def _safe_horizontal_line(self, a: float, b: float, lo: float, hi: float):
-        return self._pick_line(lo, hi, lambda c: (complex(a, c), complex(b, c)))
-
-    # -- cell resolution ----------------------------------------------------
-
-    def _box_clear(self, box: Rect) -> bool:
-        """Edges must keep zeros at an integrable relative distance and stay
-        above the term-sum rounding noise."""
-        for a, b in box.edges:
-            ratio, gap = _segment_scan(self.p, a, b)
-            if gap <= 1e-3 * abs(b - a):
-                return False
-            if ratio <= 1e-11:
-                return False
-        return True
-
-    def _tight_mass(self, z: complex, mult: int, owner: Rect):
-        """Winding of a tight box around ``z``, clipped to the owning cell so
-        neighbours' zeros are never counted twice.
-
-        Within distance ~(noise/|local coefficient|)^(1/m) of an m-fold zero
-        the evaluated |p| is rounding noise, and the local coefficient can
-        be small (for instance when another zero sits nearby), so the box
-        grows until its edges clear the measured noise floor.
-        """
-        half = max(0.5 * CLUSTER_TOL, _noise_radius(mult))
-        for _ in range(10):
-            box_x0 = max(z.real - half, owner.x_min)
-            box_x1 = min(z.real + half, owner.x_max)
-            box_y0 = max(z.imag - half, owner.y_min)
-            box_y1 = min(z.imag + half, owner.y_max)
-            if box_x1 - box_x0 <= 0 or box_y1 - box_y0 <= 0:
-                return None
-            box = Rect(box_x0, box_x1, box_y0, box_y1)
-            at_owner = (box_x0 == owner.x_min and box_x1 == owner.x_max
-                        and box_y0 == owner.y_min and box_y1 == owner.y_max)
-            if self._box_clear(box):
-                try:
-                    # boxes live near the cancellation-noise scale, so only
-                    # the noise-tolerant rungs are meaningful; a 0.15 edge
-                    # tolerance still bounds the winding within 0.11
-                    return self.winding4(box, ladder=((0.02, 0.2),
-                                                      (0.15, 0.4)))
-                except QuadratureFailureError:
-                    return None
-            if at_owner:
-                return None  # cannot grow past the owning cell
-            half *= 2.2
-        return None
+    def _split(self, rect: Rect, n: int) -> list[tuple[Rect, int]] | None:
+        """The halves of ``rect``, which holds ``n`` zeros, across its longer
+        side (vertically if it is wider than slab_floor) on a line clear of
+        zeros, with their counts; None if no line is clear.  The first
+        half's cut sides and the split line are integrated in one pass; the
+        second half's cut sides are the parent's minus the first half's."""
+        x0, x1, y0, y1 = rect.x_min, rect.x_max, rect.y_min, rect.y_max
+        vertical = rect.width >= rect.height or rect.width > self.slab_floor
+        if vertical:
+            c = self._pick_line(x0, x1, lambda c: (complex(c, y0), complex(c, y1)))
+        else:
+            c = self._pick_line(y0, y1, lambda c: (complex(x0, c), complex(x1, c)))
+        if c is None:
+            return None
+        first, second = ((Rect(x0, c, y0, y1), Rect(c, x1, y0, y1)) if vertical
+                         else (Rect(x0, x1, y0, c), Rect(x0, x1, c, y1)))
+        cut = (0, 2) if vertical else (1, 3)  # the sides the line cuts
+        pieces = self._edges(self._sides(first))
+        whole = self._edges([self._sides(rect)[i] for i in cut])
+        rest = self._sides(second)
+        for i, w in zip(cut, whole):
+            self.edge_cache[rest[i]] = w - pieces[i]
+        n_first = self.count(first)
+        if not 0 <= n_first <= n:
+            raise QuadratureFailureError(
+                f"count {n_first} inconsistent with parent {n}")
+        return [(first, n_first), (second, n - n_first)]
 
     def _polish_multiple(self, z: complex, mult: int) -> tuple[complex, bool]:
         """Refine the location of an m-fold zero on the (m-1)-th derivative,
         where it is a simple zero free of the |p| cancellation noise."""
-        z2, ok = _newton_refine(self._derivative(mult - 1), z, 1, self.tol,
+        z2, ok = _newton_refine(self._derivative(mult - 1), z, self.tol,
                                 escape=max(100.0 * _noise_radius(mult), 1e-4))
         return (z2, True) if ok else (z, False)
 
@@ -510,7 +433,7 @@ class _Search:
         """
         q = self._derivative(mult - 1)
         noise = self._newton_noise(z0, mult)
-        z, ok = _newton_refine(q, z0, 1, max(self.tol, noise), escape=reach,
+        z, ok = _newton_refine(q, z0, max(self.tol, noise), escape=reach,
                                stall_ok=True)
         if not ok:
             return None
@@ -522,27 +445,34 @@ class _Search:
         return None
 
     def resolve_by_moments(self, rect: Rect, n: int, atoms: list) -> bool:
-        """Resolve a cell holding 1 <= n <= MOMENT_MAX zeros from its
-        moments (Delves & Lyness 1967; Kravanja & Van Barel 2000).
+        """Resolve a cell holding n >= 1 zeros from its moments (Delves &
+        Lyness 1967; Kravanja & Van Barel 2000).
 
         With distinct zeros phi_j of multiplicities m_j, s_k = sum_j m_j
-        phi_j^k: the rank of the Hankel matrix [s_(i+j)] is the number d of
-        distinct zeros, the pencil ([s_(i+j+1)], [s_(i+j)]) reduced to its
-        rank-d part has eigenvalues phi_j, and a Vandermonde solve on
-        s_0..s_(d-1) gives the m_j.  Each zero is then placed by _locate.
-        The atoms are appended only if every gate holds: a clear rank gap
-        above the noise, near-integer multiplicities >= 1 summing to n,
-        every zero placed inside the cell and apart by CLUSTER_TOL, and the
-        atoms reproducing every measured moment; otherwise nothing is
-        appended and False is returned.
+        phi_j^k: the rank of the k x k Hankel matrix [s_(i+j)],
+        k = min(n, MOMENT_MAX), is the number d of distinct zeros as long as
+        d < k or n <= MOMENT_MAX (Kravanja, Sakurai & Van Barel 1999), the
+        pencil ([s_(i+j+1)], [s_(i+j)]) reduced to its rank-d part has
+        eigenvalues phi_j, and a Vandermonde solve on s_0..s_(d-1) gives the
+        m_j.  Each zero is then placed by _locate.  The atoms are appended
+        only if every gate holds: moments within RANK_GAP noise levels of
+        their tolerance, a clear rank gap above the noise, near-integer
+        multiplicities >= 1 summing to n, every zero placed inside the cell
+        and apart by CLUSTER_TOL, and the atoms reproducing every measured
+        moment; otherwise nothing is appended and False is returned.
         """
-        s, noise = self._moments(rect, 2 * n)
-        h0 = np.array([s[i:i + n] for i in range(n)])
-        h1 = np.array([s[i + 1:i + n + 1] for i in range(n)])
+        k = min(n, MOMENT_MAX)
+        s, noise = self._moments(rect, 2 * k)
+        if noise > RANK_GAP * MOMENT_TOL:
+            # an edge ran through the rounding noise of a multiple zero;
+            # every later gate scales with this noise, so all would pass
+            return False
+        h0 = np.array([s[i:i + k] for i in range(k)])
+        h1 = np.array([s[i + 1:i + k + 1] for i in range(k)])
         u, sv, vh = np.linalg.svd(h0)
-        level = n * noise  # bounds the 2-norm of the Hankel matrix's error
+        level = k * noise  # bounds the 2-norm of the Hankel matrix's error
         d = int((sv > level).sum())
-        if d == 0 or sv[d - 1] < RANK_GAP * level:
+        if d == 0 or sv[d - 1] < RANK_GAP * level or d == k < n:
             return False
         pencil = (u[:, :d].conj().T @ h1 @ vh[:d].conj().T) / sv[:d, None]
         phi = np.linalg.eigvals(pencil)
@@ -565,111 +495,44 @@ class _Search:
             return False
         # the atoms must reproduce every moment, within its noise plus the
         # moment's change over each atom's uncertainty
-        powers = np.vander((locs - c) / r, 2 * n, increasing=True)
+        powers = np.vander((locs - c) / r, 2 * k, increasing=True)
         slope = np.zeros(powers.shape)
-        slope[:, 1:] = np.abs(powers[:, :-1]) * np.arange(1, 2 * n)
+        slope[:, 1:] = np.abs(powers[:, :-1]) * np.arange(1, 2 * k)
         slack = (mult * np.array([spread for _, spread in placed]) / r) @ slope
         if (np.abs(mult @ powers - s) > MOMENT_REPRODUCE * (noise + slack)).any():
             return False
         atoms.extend((z, int(m), False) for z, m in zip(locs.tolist(), mult))
         return True
 
-    # -- bisection ------------------------------------------------------------
+    # -- cell resolution -------------------------------------------------------
 
-    def resolve_cell(self, rect: Rect, n: int, atoms: list,
-                     moments: bool = True):
-        """Resolve a cell known to hold ``n`` zeros into atoms: from its
-        moments when 2 <= n <= MOMENT_MAX, else, or when a gate of the moment
-        stage fails, by Newton's method and bisection.  A single zero that
-        Newton's method misses from the cell centre is also tried from the
-        moments before bisecting.  ``moments`` False skips the moment stage
-        (the caller already tried this cell)."""
-        if n == 0:
-            return
-        if moments and 2 <= n <= MOMENT_MAX and self.resolve_by_moments(
-                rect, n, atoms):
-            return
-        diam = math.hypot(rect.width, rect.height)
-        start = rect.center
-        if rect.y_min < self.y_newton < rect.y_max and rect.height > 1e-6:
-            start = complex(start.real, self.y_newton)
-        z, ok = _newton_refine(self.p, start, n, self.tol,
-                               escape=4.0 * diam + 1e-3)
-        if ok and rect.contains(z):
-            if n == 1:
-                atoms.append((z, 1, False))
-                return
-            tight = self._tight_mass(z, n, rect)
-            if tight == n:
-                z, _ = self._polish_multiple(z, n)
-                atoms.append((z, n, False))
-                return
-        elif n == 1 and moments and self.resolve_by_moments(rect, 1, atoms):
-            return
-        def cluster_atom():
-            if n >= 2:
-                zc, polished = self._polish_multiple(z if ok else rect.center, n)
-                atoms.append((zc, n, not (ok or polished)))
-            else:
-                atoms.append((z if ok else rect.center, n, not ok))
-
-        if diam < max(CLUSTER_TOL, 2.0 * _noise_radius(n)):
-            cluster_atom()
-            return
-        if rect.width >= rect.height:
-            c = self._safe_vertical_line(rect.x_min, rect.x_max,
-                                         rect.y_min, rect.y_max)
-            if c is None:
-                # every candidate line runs through the noise zone of a
-                # multiple zero; double precision cannot separate further
-                cluster_atom()
-                return
-            child = Rect(rect.x_min, c, rect.y_min, rect.y_max)
-            other = Rect(c, rect.x_max, rect.y_min, rect.y_max)
-        else:
-            c = self._safe_horizontal_line(rect.x_min, rect.x_max,
-                                           rect.y_min, rect.y_max)
-            if c is None:
-                cluster_atom()
-                return
-            child = Rect(rect.x_min, rect.x_max, rect.y_min, c)
-            other = Rect(rect.x_min, rect.x_max, c, rect.y_max)
-        n1 = self.winding4(child)
-        if not 0 <= n1 <= n:
-            raise QuadratureFailureError(
-                f"child count {n1} inconsistent with parent {n}")
-        self.resolve_cell(child, n1, atoms)
-        self.resolve_cell(other, n - n1, atoms)
-
-    # -- driver --------------------------------------------------------------
-
-    def run(self, slab_floor: float):
-        n_total = self.slab_count(self.rect.x_min, self.rect.x_max)
-        atoms: list[tuple[complex, int, bool]] = []
-        stack = [(self.rect.x_min, self.rect.x_max, n_total)]
+    def resolve_cell(self, rect: Rect, n: int, atoms: list):
+        """Resolve a cell known to hold ``n`` zeros into atoms
+        (location, multiplicity, coarse): from its moments, else from its
+        halves.  A cell wider than slab_floor with more than MOMENT_MAX
+        zeros skips its moments: its zeros spread along the band, so fewer
+        than MOMENT_MAX of them are seldom distinct.  A cell below the
+        rounding-noise radius of an n-fold zero becomes one n-fold atom,
+        coarse if its polish on p^(n-1) fails."""
+        stack = [(rect, n)]
         while stack:
-            a, b, n = stack.pop()
+            cell, n = stack.pop()
             if n == 0:
                 continue
-            slab = Rect(a, b, self.rect.y_min, self.rect.y_max)
-            tried = 2 <= n <= MOMENT_MAX
-            if tried and self.resolve_by_moments(slab, n, atoms):
+            wide = n > MOMENT_MAX and cell.width > self.slab_floor
+            if not wide and self.resolve_by_moments(cell, n, atoms):
                 continue
-            if n == 1 or (b - a) <= slab_floor:
-                self.resolve_cell(slab, n, atoms, moments=not tried)
+            if math.hypot(cell.width, cell.height) < max(
+                    CLUSTER_TOL, 2.0 * _noise_radius(n)):
+                z, polished = self._polish_multiple(cell.center, n)
+                atoms.append((z, n, not polished))
                 continue
-            c = self._safe_vertical_line(a, b, self.rect.y_min, self.rect.y_max)
-            if c is None:
-                self.resolve_cell(slab, n, atoms, moments=not tried)
-                continue
-            self._split_horizontals(a, b, c)
-            n_left = self.slab_count(a, c)
-            if not 0 <= n_left <= n:
-                raise QuadratureFailureError(
-                    f"slab count {n_left} inconsistent with parent {n}")
-            stack.append((a, c, n_left))
-            stack.append((c, b, n - n_left))
-        return n_total, atoms
+            halves = self._split(cell, n)
+            if halves is None:
+                # every candidate line runs through the noise zone of a
+                # multiple zero; double precision cannot separate further
+                raise QuadratureFailureError(f"no clear line splits {cell}")
+            stack += halves
 
 
 def count_zeros(p: ExpPolynomial, rect: Rect) -> int:
@@ -690,9 +553,7 @@ def count_zeros(p: ExpPolynomial, rect: Rect) -> int:
     if not _boundary_ok(p, rect):
         raise BoundaryProximityError(
             "|p| too small on the rectangle boundary; perturb the rectangle")
-    search = _Search(p, rect, tol=1e-12,
-                     y_zero_band=(rect.y_min, rect.y_max))
-    return search.winding4(rect)
+    return _Search(p, rect, tol=1e-12).count(rect)
 
 
 def _exp(x: float) -> float:
@@ -703,25 +564,14 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _zero_band(p: ExpPolynomial, rect: Rect) -> tuple[float, float]:
-    try:
-        strip = zero_strip_estimate(p)
-    except ZeroFreeError:
-        return rect.y_min, rect.y_max
-    lo = max(rect.y_min, strip.alpha)
-    hi = min(rect.y_max, strip.beta)
-    if lo >= hi:
-        return rect.y_min, rect.y_max
-    return lo, hi
-
-
 def find_zeros_report(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
                       allow_jitter: bool = True, seed: int = _DEFAULT_SEED):
     """Locate all zeros of ``p`` in ``rect``; returns (measure, diagnostics).
 
     Each atom's mass is the zero's multiplicity (always a winding number).
     Diagnostics report |p| residuals at the refined locations, any coarse
-    atoms (Newton fallback to a cell center) and the exit status.
+    atoms (left at the centre of a cell too small to split, where the
+    polish failed) and the exit status.
     """
     if p.n_terms == 0:
         raise EmptyPolynomialError("zero function")
@@ -745,10 +595,10 @@ def find_zeros_report(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
         raise BoundaryProximityError(
             "no safe rectangle boundary found after jitter retries")
 
-    band = _zero_band(p, work)
-    slab_floor = max(0.75 * (band[1] - band[0]), 8.0 * CLUSTER_TOL)
-    search = _Search(p, work, tol, band)
-    n_total, raw = search.run(slab_floor)
+    search = _Search(p, work, tol)
+    n_total = search.count(work)
+    raw: list[tuple[complex, int, bool]] = []
+    search.resolve_cell(work, n_total, raw)
 
     raw.sort(key=lambda t: (t[0].real, t[0].imag))
     merged: list[list] = []

@@ -169,10 +169,37 @@ def test_moment_stage_matches_mpmath(seed, x0, width):
     n = count_zeros(p, rect)
     assume(2 <= n <= MOMENT_MAX)
     atoms = []
-    accepted = _Search(p, rect, 1e-12, (rect.y_min, rect.y_max)) \
-        .resolve_by_moments(rect, n, atoms)
+    accepted = _Search(p, rect, 1e-12).resolve_by_moments(rect, n, atoms)
     assume(accepted)
     assert sum(m for _, m, _ in atoms) == n
     for z, _, coarse in atoms:
         assert not coarse
         assert abs(z - mp_polish(p, z)) <= 1e-9
+
+
+@pytest.mark.parametrize("i", [4, 11])
+def test_high_multiplicity_clusters_factor(i):
+    # 4- and 5-fold zeros 0.017 apart (p4), 5-fold zeros 0.0075 from a
+    # simple one (p11): each slab of 9 to 17 zeros at no more than five
+    # points resolves from one Hankel pencil
+    s = HIGH_MULTIPLICITY[i]
+    rect = corpus_rect(s)
+    out = factor(expand_sine_product(s),
+                 FactorConfig(window=(rect.x_min, rect.x_max)))
+    assert out.verdict == "sine_product"
+    assert_products_close(out.result.product, s)
+
+
+def test_noisy_moments_are_rejected():
+    # two 4-fold zeros 9.8e-4 apart, 0.022 below the cell's top edge, where
+    # p'/p is rounding noise: the moments carry noise 7.8e-4, and the rank,
+    # mass and reproduction gates, which scale with it, would all accept one
+    # 8-fold atom between the two zeros
+    s = high_multiplicity_corpus(24, 6)[9]
+    p = expand_sine_product(s)
+    cell = Rect(-9.016369657355487, -8.852435663585387,
+                -0.06331910350820191, 0.022161686227873734)
+    assert [m for _, m in closed_form_zeros(s, cell)] == [4, 4]
+    atoms = []
+    assert not _Search(p, cell, 1e-12).resolve_by_moments(cell, 8, atoms)
+    assert atoms == []

@@ -151,7 +151,7 @@ def _newton_noise_by_log_abs(p, z, mult):
 @pytest.mark.parametrize("mult", [1, 2, 3, 4, 5])
 def test_newton_noise_matches_the_log_abs_formula(mult):
     p = twelve_terms()
-    search = _Search(p, Rect(-1.3, 1.1, -3.0, 0.5), 1e-12, (-3.0, 0.5))
+    search = _Search(p, Rect(-1.3, 1.1, -3.0, 0.5), 1e-12)
     for z in (0.3 - 0.2j, -1.1 + 0.35j, 0.9 - 2.5j, -0.45 - 1.0j):
         noise = search._newton_noise(z, mult)
         assert noise == pytest.approx(_newton_noise_by_log_abs(p, z, mult),
