@@ -20,35 +20,22 @@ from functools import cached_property
 
 import numpy as np
 
+from . import freq
 from .errors import CapacityError, EmptyPolynomialError, ZeroFreeError
 
 TWO_PI = 2.0 * math.pi
 
-#: Frequencies closer than this (absolute) are summed into one term.
-FREQ_MERGE_TOL = 1e-9
 #: Coefficients below this times max|coeff| are dropped after expansion.
 COEFF_PRUNE_REL = 1e-14
 #: Default cap on the number of terms an expansion may produce.
 EXPANSION_TERM_CAP = 4096
 
 
-def _canonical_terms(pairs) -> tuple[tuple[float, complex], ...]:
-    """Sort by frequency, merge near-coincident frequencies, prune dust."""
-    pairs = [(float(w), complex(q)) for w, q in pairs]
-    pairs.sort(key=lambda t: t[0])
-    merged: list[list] = []
-    for w, q in pairs:
-        if merged and w - merged[-1][0] < FREQ_MERGE_TOL:
-            merged[-1][1] += q
-        else:
-            merged.append([w, q])
-    if not merged:
-        return ()
-    scale = max(abs(q) for _, q in merged)
-    if scale == 0.0:
-        return ()
-    floor = COEFF_PRUNE_REL * scale
-    return tuple((w, q) for w, q in merged if abs(q) > floor)
+def _canonical_terms(freqs, coeffs) -> tuple[tuple[float, complex], ...]:
+    """Sort by frequency, merge frequencies at the resolution, prune dust."""
+    freqs, coeffs = freq.merge(freqs, coeffs)
+    floor = COEFF_PRUNE_REL * max(map(abs, coeffs), default=0.0)
+    return tuple((w, q) for w, q in zip(freqs, coeffs) if abs(q) > floor)
 
 
 @dataclass(frozen=True)
@@ -65,12 +52,12 @@ class ExpPolynomial:
 
     @classmethod
     def from_terms(cls, pairs) -> "ExpPolynomial":
-        return cls(_canonical_terms(pairs))
+        pairs = list(pairs)
+        return cls(_canonical_terms([w for w, _ in pairs], [q for _, q in pairs]))
 
     def __post_init__(self):
-        for (w0, q0), (w1, _) in zip(self.terms, self.terms[1:]):
-            if w1 - w0 < FREQ_MERGE_TOL:
-                raise ValueError("frequencies not strictly increasing or too close")
+        if not freq.resolved([w for w, _ in self.terms]):
+            raise ValueError("frequencies not strictly increasing or too close")
         if any(q == 0 for _, q in self.terms):
             raise ValueError("zero coefficient stored")
 
@@ -214,7 +201,7 @@ def multiply(p1: ExpPolynomial, p2: ExpPolynomial,
     q2 = np.array([q for _, q in p2.terms])
     freqs = (w1[:, None] + w2[None, :]).ravel()
     coeffs = (q1[:, None] * q2[None, :]).ravel()
-    out = ExpPolynomial.from_terms(zip(freqs.tolist(), coeffs.tolist()))
+    out = ExpPolynomial(_canonical_terms(freqs.tolist(), coeffs.tolist()))
     if out.n_terms > term_cap:
         raise CapacityError(
             f"expansion produced {out.n_terms} terms, cap is {term_cap}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import freq
 from .core import (
     ExpPolynomial,
     SineProduct,
@@ -43,6 +44,9 @@ JITTER_TOL = 1e-6
 MIN_POINTS = 4
 #: Default |Im zero| tolerance for declaring the zero set real.
 REALITY_TOL = 1e-7
+#: Re-expanded frequencies carry the reconstruction's error (3e-9 for
+#: 5-fold factors); each counts as the input frequency this close to it.
+REEXPANSION_REACH = 1e-7
 
 REASON_CRITERION = "criterion (r2) fails"
 REASON_COMPLEX = "complex zeros despite linear profile"
@@ -373,23 +377,15 @@ def profile_radii(p: ExpPolynomial) -> tuple[float, ...]:
 
 
 def _coefficient_discrepancy(p: ExpPolynomial, q: ExpPolynomial) -> float:
-    """Max |coefficient difference| over the union of frequencies, relative
-    to the largest input coefficient (frequencies aligned within 1e-7)."""
-    scale = max(abs(c) for _, c in p.terms)
-    i = j = 0
-    worst = 0.0
-    while i < p.n_terms or j < q.n_terms:
-        if j >= q.n_terms or (i < p.n_terms and p.terms[i][0] < q.terms[j][0] - 1e-7):
-            worst = max(worst, abs(p.terms[i][1]))
-            i += 1
-        elif i >= p.n_terms or q.terms[j][0] < p.terms[i][0] - 1e-7:
-            worst = max(worst, abs(q.terms[j][1]))
-            j += 1
-        else:
-            worst = max(worst, abs(p.terms[i][1] - q.terms[j][1]))
-            i += 1
-            j += 1
-    return worst / scale
+    """Max |coefficient difference| over the union of frequencies, each of
+    ``q`` counted at the frequency of ``p`` within REEXPANSION_REACH of it,
+    relative to the largest coefficient of ``p``."""
+    wp = np.array([w for w, _ in p.terms])
+    wq = np.array([w for w, _ in q.terms])
+    near = freq.lookup(wp, wq, REEXPANSION_REACH)
+    _, diff = freq.merge(np.concatenate([wp, np.where(near >= 0, wp[near], wq)]),
+                         [c for _, c in p.terms] + [-c for _, c in q.terms])
+    return max(map(abs, diff)) / max(abs(c) for _, c in p.terms)
 
 
 def factor(p: ExpPolynomial, config: FactorConfig = FactorConfig()) -> FactorOutcome:

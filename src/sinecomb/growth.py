@@ -57,17 +57,17 @@ def growth_profile(upper: DirichletCoefficients, lower: DirichletCoefficients,
     if max(radii) > min(upper.gamma_max, lower.gamma_max) + 1e-12:
         raise PreconditionError("radii exceed the stored truncation radius")
 
-    def r_value(r: float) -> float:
-        total = 0.0
-        for g, h in upper.coeffs:
-            if abs(g) < r:
-                total += abs(h)
-        for g, h in lower.coeffs:
-            if abs(g) < r:
-                total += abs(h)
-        return total
-
-    values = [r_value(r) for r in radii]
+    # summed one after another, upper |gamma| < r ascending, then lower
+    # from -r up: cumsum is sequential where a sum may be pairwise, and
+    # the builtin abs may differ from np.abs in the last bit
+    up_abs = np.array([abs(h) for _, h in upper.coeffs])
+    lo_abs = np.array([abs(h) for _, h in lower.coeffs])
+    values = []
+    for r in radii:
+        inside = np.concatenate([
+            up_abs[:np.searchsorted(upper.gamma_array, r)],
+            lo_abs[np.searchsorted(lower.gamma_array, -r, side="right"):]])
+        values.append(float(np.cumsum(inside)[-1]) if len(inside) else 0.0)
 
     half = len(radii) // 2
     fit_r = np.array(radii[half:])

@@ -67,6 +67,10 @@ def _require(cond: bool, message: str):
         raise ParseError(message)
 
 
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and math.isfinite(v)
+
+
 def _as_complex(v, what: str) -> complex:
     _require(isinstance(v, (list, tuple)) and len(v) == 2
              and all(isinstance(c, (int, float)) for c in v),
@@ -90,8 +94,7 @@ def polynomial_from_dict(data) -> ExpPolynomial:
     for entry in terms:
         _require(isinstance(entry, dict) and "omega" in entry and "coeff" in entry,
                  "each term needs 'omega' and 'coeff'")
-        _require(isinstance(entry["omega"], (int, float)),
-                 "'omega' must be a number")
+        _require(_finite(entry["omega"]), "'omega' must be a finite number")
         pairs.append((float(entry["omega"]),
                       _as_complex(entry["coeff"], "'coeff'")))
     return ExpPolynomial.from_terms(pairs)
@@ -106,15 +109,14 @@ def sine_product_from_dict(data) -> SineProduct:
              "sine-product file needs a 'factors' array")
     C = _as_complex(data.get("C", [1.0, 0.0]), "'C'")
     a = data.get("a", 0.0)
-    _require(isinstance(a, (int, float)), "'a' must be a number")
+    _require(_finite(a), "'a' must be a finite number")
     factors = []
     for entry in data["factors"]:
         _require(isinstance(entry, dict)
                  and all(k in entry for k in ("alpha", "beta", "mult")),
                  "each factor needs 'alpha', 'beta' and 'mult'")
-        _require(all(isinstance(entry[k], (int, float))
-                     for k in ("alpha", "beta", "mult")),
-                 "factor fields must be numbers")
+        _require(all(_finite(entry[k]) for k in ("alpha", "beta", "mult")),
+                 "factor fields must be finite numbers")
         factors.append((float(entry["alpha"]), float(entry["beta"]),
                         int(entry["mult"])))
     try:
@@ -152,7 +154,9 @@ def coefficients_to_dict(d: DirichletCoefficients) -> dict:
         "gamma_max": d.gamma_max,
         "coeffs": [{"gamma": g, "h": h} for g, h in d.coeffs],
         "tail_bound": d.tail_bound,
-        "validity_height": d.validity_height,
+        # null for a single term, whose series holds at every height
+        "validity_height": d.validity_height if math.isfinite(
+            d.validity_height) else None,
     }
 
 

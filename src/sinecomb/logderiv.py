@@ -22,10 +22,11 @@ depend on the height used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import freq
 from .core import TWO_PI, ExpPolynomial, zero_strip_estimate
 from .errors import CapacityError, EmptyPolynomialError, PreconditionError
 from .quadrature import gauss_legendre
@@ -37,18 +38,18 @@ LOWER = "lower"
 SUPPORT_CAP = 200_000
 #: Coefficients below this times max|h| are cancellation dust and dropped.
 COEFF_PRUNE_REL = 1e-12
-#: Frequencies are merged on a grid of this spacing.
-_GAMMA_GRID = 1e-9
 
 
 @dataclass(frozen=True)
 class DirichletCoefficients:
     """Truncated map gamma -> h for one half-plane.
 
-    ``coeffs`` is sorted by gamma; upper-half gammas are >= 0, lower-half
-    <= 0, and all stored h are nonzero.  ``tail_bound`` bounds the absolute
-    error of the truncated series against p'/p everywhere at least
-    ``validity_height`` above the strip (below, for the lower half-plane).
+    ``coeffs`` is sorted by gamma, more than the frequency resolution apart;
+    upper-half gammas are >= 0, lower-half <= 0, and all stored h are
+    nonzero; ``gamma_array`` and ``h_array`` hold its two columns.
+    ``tail_bound`` bounds the absolute error of the truncated series against
+    p'/p everywhere at least ``validity_height`` above the strip (below, for
+    the lower half-plane).
     """
 
     halfplane: str
@@ -56,34 +57,40 @@ class DirichletCoefficients:
     gamma_max: float
     tail_bound: float
     validity_height: float
+    gamma_array: np.ndarray = field(init=False, repr=False, compare=False)
+    h_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.halfplane not in (UPPER, LOWER):
             raise ValueError("halfplane must be 'upper' or 'lower'")
+        gammas = [g for g, _ in self.coeffs]
+        g = np.array(gammas, dtype=float)
+        h = np.array([h for _, h in self.coeffs], dtype=complex)
         sign = 1.0 if self.halfplane == UPPER else -1.0
-        for g, h in self.coeffs:
-            if sign * g < -_GAMMA_GRID:
-                raise ValueError("gamma on the wrong side for this half-plane")
-            if h == 0:
-                raise ValueError("zero coefficient stored")
+        if np.any(sign * g < -freq.RESOLUTION):
+            raise ValueError("gamma on the wrong side for this half-plane")
+        if not freq.resolved(gammas):
+            raise ValueError("gammas not strictly increasing or too close")
+        if np.any(h == 0):
+            raise ValueError("zero coefficient stored")
+        object.__setattr__(self, "gamma_array", g)
+        object.__setattr__(self, "h_array", h)
 
     @property
     def gammas(self) -> list[float]:
-        return [g for g, _ in self.coeffs]
+        return self.gamma_array.tolist()
 
-    def get(self, gamma: float, tol: float = 1e-8) -> complex:
-        """Coefficient at ``gamma`` (0 if absent)."""
-        for g, h in self.coeffs:
-            if abs(g - gamma) <= tol:
-                return h
-        return 0j
+    def get(self, gamma: float) -> complex:
+        """Coefficient at ``gamma`` (0 if none is within the resolution)."""
+        i = int(freq.lookup(self.gamma_array, gamma))
+        return complex(self.h_array[i]) if i >= 0 else 0j
 
     def partial_sum(self, z) -> complex:
         """Value of the truncated Dirichlet series at ``z``."""
-        acc = 0j
-        for g, h in self.coeffs:
-            acc = acc + h * np.exp(1j * TWO_PI * g * np.asarray(z, dtype=complex))
-        return complex(acc) if np.ndim(acc) == 0 else acc
+        z = np.asarray(z, dtype=complex)
+        acc = (self.h_array * np.exp(np.multiply.outer(
+            z, 1j * TWO_PI * self.gamma_array))).sum(axis=-1)
+        return complex(acc) if acc.ndim == 0 else acc
 
 
 def _weighted_l1(gammas, coeffs, y: float) -> float:
@@ -114,50 +121,59 @@ def _validity_height(gammas, coeffs) -> float:
     return hi
 
 
-def _semigroup_support(gaps: np.ndarray, gamma_max: float,
-                       cap: int = SUPPORT_CAP) -> np.ndarray:
-    """Sorted positive elements of the additive semigroup generated by the
-    gaps, truncated at gamma_max, merged on the frequency grid.
+def _add_multiples(support: np.ndarray, d: float, gamma_max: float,
+                   cap: int) -> np.ndarray:
+    """``support`` closed under adding d: the run starts of the sorted sums
+    s + k*d up to gamma_max (plus half the resolution), s in ``support``.
 
-    Gaps already reachable as sums of smaller ones are skipped: closing over
-    a minimal generating set reaches the same support far cheaper.
+    The sums are swept in windows m*d wide, in increasing order.  In each,
+    every s meets at most m + 1 multiples of d, so no array outgrows a few
+    times ``cap``; and the runs of the windows already swept are final, so
+    the count stops once it passes ``cap``.
     """
-    support = np.array([0.0])
-    for d in np.sort(gaps):
-        k = int(np.searchsorted(support, d))
-        near = [j for j in (k - 1, k) if 0 <= j < len(support)]
-        if any(abs(support[j] - d) <= _GAMMA_GRID for j in near):
-            continue
-        reps = np.arange(
-            0.0, math.floor((gamma_max + 0.5 * _GAMMA_GRID) / d) + 1.0)
-        allv = (support[:, None] + d * reps[None, :]).ravel()
-        allv = allv[allv <= gamma_max + 0.5 * _GAMMA_GRID]
-        allv.sort()
-        keep = np.concatenate([[True], np.diff(allv) > _GAMMA_GRID])
-        support = allv[keep]
-        if len(support) > cap:
+    limit = gamma_max + 0.5 * freq.RESOLUTION
+    n = math.floor(limit / d) + 1
+    m = max(1, min(n, cap // len(support)))
+    runs, n_runs, last, j = [], 0, -math.inf, 0
+    while d * (m * j) <= limit:
+        lo, hi = d * (m * j), d * (m * (j + 1))
+        # first k with s + k*d >= lo, less one for rounding, and m + 2 more
+        k = (np.maximum(np.floor((lo - support) / d), 0.0)[:, None]
+             + np.arange(-1.0, m + 2.0))
+        sums = support[:, None] + d * k
+        sums = np.sort(sums[(k >= 0) & (k < n) & (sums >= lo) & (sums < hi)
+                            & (sums <= limit)])
+        runs.append(sums[freq.run_starts(sums, last)])
+        n_runs += len(runs[-1])
+        if n_runs > cap:
             raise CapacityError(
                 f"gap-semigroup support exceeded {cap} entries below "
                 f"gamma_max={gamma_max:.6g}; reduce gamma_max")
-    return support[support > 0.5 * _GAMMA_GRID]
+        last = sums[-1] if len(sums) else last
+        j += 1
+    return np.concatenate(runs)
 
 
-def _match_positions(support: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of each target in ``support`` within the merge grid, else -1."""
-    pos = np.searchsorted(support, targets)
-    out = np.full(targets.shape, -1, dtype=np.int64)
-    for shift in (0, -1):
-        cand = np.clip(pos + shift, 0, len(support) - 1)
-        ok = (out < 0) & (np.abs(support[cand] - targets) <= 2.0 * _GAMMA_GRID)
-        out[ok] = cand[ok]
-    return out
+def _semigroup_support(gaps: np.ndarray, gamma_max: float,
+                       cap: int = SUPPORT_CAP) -> np.ndarray:
+    """Sorted positive elements of the additive semigroup generated by the
+    gaps, truncated at gamma_max, merged at the frequency resolution.
+
+    Gaps already in the support are skipped: closing over a minimal
+    generating set reaches the same support far cheaper.
+    """
+    support = np.array([0.0])
+    for d in np.sort(gaps):
+        if freq.lookup(support, d) < 0:
+            support = _add_multiples(support, d, gamma_max, cap)
+    return support[1:]
 
 
 def _coeffs_upper(p: ExpPolynomial, gamma_max: float) -> DirichletCoefficients:
     omega0, q0 = p.terms[0]
-    if p.n_terms == 1:
-        return DirichletCoefficients(UPPER, ((0.0, 1j * TWO_PI * omega0),),
-                                     gamma_max, 0.0, -math.inf)
+    if p.n_terms == 1:  # p'/p is the constant 2*pi*i*omega0
+        pairs = ((0.0, 1j * TWO_PI * omega0),) if omega0 else ()
+        return DirichletCoefficients(UPPER, pairs, gamma_max, 0.0, -math.inf)
     g_gam = np.array([w - omega0 for w, _ in p.terms[1:]])
     g_cof = np.array([q / q0 for _, q in p.terms[1:]])
     gp_cof = (1j * TWO_PI) * g_gam * g_cof
@@ -174,22 +190,28 @@ def _coeffs_upper(p: ExpPolynomial, gamma_max: float) -> DirichletCoefficients:
     support = _semigroup_support(g_gam, gamma_max)
     u = np.zeros(len(support), dtype=complex)
     gp_on = np.zeros(len(support), dtype=complex)
-    gp_idx = _match_positions(support, g_gam)
+    gp_idx = freq.lookup(support, g_gam)
     in_range = gp_idx >= 0  # gaps beyond gamma_max fall outside the support
     np.add.at(gp_on, gp_idx[in_range], gp_cof[in_range])
 
     d_min = float(g_gam.min())
     start = 0
-    while start < len(support):
-        end = int(np.searchsorted(
-            support, support[start] + d_min - 4.0 * _GAMMA_GRID, side="right"))
-        end = max(end, start + 1)
-        block = slice(start, end)
-        prev = support[block][None, :] - g_gam[:, None]
-        idx = _match_positions(support, prev.ravel()).reshape(prev.shape)
-        vals = np.where(idx >= 0, u[np.clip(idx, 0, None)], 0j)
-        u[block] = gp_on[block] - (g_cof[:, None] * vals).sum(axis=0)
-        start = end
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        while start < len(support):
+            # every target lies d_min or more below its entry, so a block
+            # this narrow reads only entries solved before it
+            end = int(np.searchsorted(
+                support, support[start] + d_min - 2.0 * freq.RESOLUTION,
+                side="right"))
+            end = max(end, start + 1)
+            block = slice(start, end)
+            idx = freq.lookup(support, support[block][None, :] - g_gam[:, None])
+            vals = np.where(idx >= 0, u[np.clip(idx, 0, None)], 0j)
+            u[block] = gp_on[block] - (g_cof[:, None] * vals).sum(axis=0)
+            start = end
+    if not np.isfinite(u).all():
+        raise CapacityError(f"coefficients leave the double range below "
+                            f"gamma_max={gamma_max:.6g}; reduce gamma_max")
 
     gammas = np.concatenate([[0.0], support])
     coeffs = np.concatenate([[1j * TWO_PI * omega0], u])

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import freq
 from .core import TWO_PI, ExpPolynomial
 from .errors import (
     BoundaryProximityError,
@@ -199,23 +200,19 @@ def fourier_measure(upper: DirichletCoefficients,
                     lower: DirichletCoefficients) -> AtomicMeasure:
     """Pure-point Fourier measure assembled from both half-plane expansions.
 
-    Mass at gamma is i*h_plus/(2*pi) - i*h_minus/(2*pi); exact cancellations
+    Mass at gamma is i*h_plus/(2*pi) - i*h_minus/(2*pi), at the coefficients'
+    own frequencies merged at the frequency resolution; exact cancellations
     (zero-free inputs) leave the empty measure.
     """
     if upper.halfplane != UPPER or lower.halfplane != LOWER:
         raise PreconditionError("pass (upper, lower) coefficient sets in order")
-    masses: dict[int, complex] = {}
-    grid = 1e-9
-    for g, h in upper.coeffs:
-        masses[round(g / grid)] = masses.get(round(g / grid), 0j) + 1j * h / TWO_PI
-    for g, h in lower.coeffs:
-        masses[round(g / grid)] = masses.get(round(g / grid), 0j) - 1j * h / TWO_PI
-    if not masses:
-        return AtomicMeasure(())
-    scale = max(abs(m) for m in masses.values())
-    atoms = [(complex(k * grid, 0.0), m) for k, m in masses.items()
-             if abs(m) > MASS_DROP_REL * (1.0 + scale)]
-    return AtomicMeasure.from_atoms(atoms)
+    gammas, masses = freq.merge(
+        upper.gammas + lower.gammas,
+        [1j * h / TWO_PI for _, h in upper.coeffs]
+        + [-1j * h / TWO_PI for _, h in lower.coeffs])
+    floor = MASS_DROP_REL * (1.0 + max(map(abs, masses), default=0.0))
+    return AtomicMeasure.from_atoms(
+        (g, m) for g, m in zip(gammas, masses) if abs(m) > floor)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """CLI: exit codes, report formats, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinecomb.cli import main
 
@@ -13,6 +18,8 @@ SIN_POLY = ('{"terms": [{"omega": -0.5, "coeff": [0.0, 0.5]},'
             ' {"omega": 0.5, "coeff": [0.0, -0.5]}]}')
 FOURCOS = ('{"terms": [{"omega": -1, "coeff": [1, 0]},'
            ' {"omega": 0, "coeff": [4, 0]}, {"omega": 1, "coeff": [1, 0]}]}')
+NEAR_PAIR = ('{"terms": [{"omega": 0, "coeff": [1, 0]},'
+             ' {"omega": 1.5e-9, "coeff": [0.5, 0]}, {"omega": 1, "coeff": [1, 0]}]}')
 SINE_PRODUCT = ('{"C": [3.0, 0.0], "a": 2.0,'
                 ' "factors": [{"alpha": 3.141592653589793, "beta": 0.0, "mult": 1}]}')
 
@@ -61,6 +68,9 @@ class TestZerosCommand:
         code = main(["zeros", "--input", str(bad), "--rect", "0,1,-1,1"])
         assert code == 4
         assert "input error" in capsys.readouterr().err
+        # JSON's NaN literal parses, but no frequency may be NaN
+        bad.write_text('{"terms": [{"omega": NaN, "coeff": [1, 0]}]}')
+        assert main(["logderiv", "--input", str(bad)]) == 4
 
     def test_missing_input_exit_4(self, tmp_path):
         code = main(["zeros", "--input", str(tmp_path / "nope.json"),
@@ -144,6 +154,14 @@ class TestOtherCommands:
         assert gammas == [0.0, 1.0, 2.0, 3.0]
         assert abs(report["upper"]["coeffs"][1]["h"][1] + 2 * PI) < 1e-9
 
+    def test_logderiv_single_term(self, tmp_path, capsys):
+        # p'/p is constant, valid at every height: JSON has no -inf
+        f = tmp_path / "one.json"
+        f.write_text('{"terms": [{"omega": 2, "coeff": [1, 0]}]}')
+        assert main(["logderiv", "--input", str(f)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["upper"]["validity_height"] is None
+
     def test_fourier(self, sin_file, capsys):
         assert main(["fourier", "--input", sin_file, "--gamma-max", "5"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -183,3 +201,43 @@ class TestDeterminism:
         first = capsys.readouterr().out
         main(["factor", "--input", fourcos_file])
         assert first == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["logderiv", "criterion", "fourier", "factor"])
+def test_near_coincident_frequencies_exceed_the_support_cap(command, tmp_path,
+                                                             capsys):
+    # two distinct frequencies 1.5e-9 apart: the gap has 1e10 multiples
+    # below gamma_max, far more than the coefficient support may hold
+    f = tmp_path / "near.json"
+    f.write_text(NEAR_PAIR)
+    start = time.perf_counter()
+    assert main([command, "--input", str(f)]) == 6
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "support exceeded" in err and "Traceback" not in err
+
+
+def spacing():
+    near = st.floats(-9.0, -6.0).map(lambda e: 10.0 ** e)
+    return st.one_of(near, st.floats(0.05, 2.0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(w0=st.floats(-3.0, 3.0), gaps=st.lists(spacing(), max_size=3),
+       coeffs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                       min_size=4, max_size=4))
+def test_cli_never_crashes_on_small_inputs(tmp_path_factory, w0, gaps, coeffs):
+    # 1-4 terms, some spacings between 1e-9 and 1e-6: every run ends in an
+    # answer or a typed error, never in a traceback or the negative verdict
+    omegas = [w0]
+    for g in gaps:
+        omegas.append(omegas[-1] + g)
+    terms = [{"omega": w, "coeff": list(c)} for w, c in zip(omegas, coeffs)]
+    f = tmp_path_factory.getbasetemp() / "fuzz.json"
+    f.write_text(json.dumps({"terms": terms}))
+    for command in ("logderiv", "fourier", "criterion"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(f), "--gamma-max", "8"])
+        assert code in (0, 2, 4, 5, 6)
+        assert "Traceback" not in err.getvalue()

@@ -187,6 +187,12 @@ class TestInvariants:
         p = ExpPolynomial.from_terms([(1.0, 1.0), (1.0 + 1e-10, 1.0)])
         assert p.n_terms == 1
         assert abs(p.terms[0][1] - 2.0) < 1e-15
+        # the frequency resolution: 0.4e-9 apart merge, 3e-9 apart do not
+        near = ExpPolynomial.from_terms([(1.0 + 4e-10, 1.0), (1.0, 0.5)])
+        assert near.terms == ((1.0, 1.5 + 0j),)
+        with pytest.raises(ValueError):
+            ExpPolynomial(((1.0, 1.0), (1.0 + 4e-10, 1.0)))
+        assert ExpPolynomial.from_terms([(1.0, 1.0), (1.0 + 3e-9, 1.0)]).n_terms == 2
 
     def test_prune_threshold(self):
         p = ExpPolynomial.from_terms([(0.0, 1.0), (1.0, 1e-16)])

@@ -30,6 +30,23 @@ class TestSymbolic:
         assert abs(up.get(0.0) + 1j * PI) < 1e-12
         for k in range(1, 6):
             assert abs(up.get(float(k)) + 2j * PI) < 1e-12
+        assert up.get(1.0 + 4e-10) == up.get(1.0)
+        assert up.get(1.0 + 3e-9) == 0
+
+    @pytest.mark.parametrize("offset", [4e-10, 3e-9])
+    def test_support_merges_at_the_resolution(self, offset):
+        # the gap 2 + offset is the support entry 2 when 0.4e-9 from it
+        exact = ExpPolynomial.from_terms([(0.0, 1.0), (1.0, 0.3), (2.0, 0.2)])
+        near = ExpPolynomial.from_terms(
+            [(0.0, 1.0), (1.0, 0.3), (2.0 + offset, 0.2)])
+        want = logderiv_coeffs_symbolic(exact, UPPER, 3.0)
+        got = logderiv_coeffs_symbolic(near, UPPER, 3.0)
+        if offset > 1e-9:
+            assert got.gammas == [1.0, 2.0, 2.0 + offset, 3.0]
+            return
+        assert got.gammas == want.gammas == [1.0, 2.0, 3.0]
+        for (_, h), (_, h_want) in zip(got.coeffs, want.coeffs):
+            assert abs(h - h_want) <= 1e-8 * abs(h_want)
 
     def test_sine_lower_mirror(self, sin_poly):
         lo = logderiv_coeffs_symbolic(sin_poly, LOWER, 5.0)
@@ -51,6 +68,9 @@ class TestSymbolic:
             d = logderiv_coeffs_symbolic(p, half, 5.0)
             assert d.coeffs == ((0.0, 6j * PI),)
             assert d.tail_bound == 0.0
+        constant = ExpPolynomial.from_terms([(0.0, 2.0)])
+        for half in (UPPER, LOWER):
+            assert logderiv_coeffs_symbolic(constant, half, 5.0).coeffs == ()
 
     def test_matches_cotangent_oracle(self):
         rng = np.random.default_rng(777)
@@ -79,6 +99,10 @@ class TestSymbolic:
         p = ExpPolynomial.from_terms([(w, 1.0) for w in freqs])
         with pytest.raises(CapacityError):
             logderiv_coeffs_symbolic(p, UPPER, 40.0)
+        # |q1/q0| = 1e12 over 32 gaps: the lower coefficients pass 1e300
+        q = ExpPolynomial.from_terms([(0.0, 1j), (0.25, 1e-12j)])
+        with pytest.raises(CapacityError):
+            logderiv_coeffs_symbolic(q, LOWER, 8.0)
 
     def test_report_schema(self, sin_poly):
         import json

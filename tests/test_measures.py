@@ -11,10 +11,12 @@ import scipy.integrate
 from sinecomb import (
     LOWER,
     UPPER,
+    DirichletCoefficients,
     ExpPolynomial,
     Rect,
     bump,
     contour_residue_report,
+    expand_sine_product,
     find_zeros,
     fourier_measure,
     gaussian,
@@ -69,6 +71,17 @@ class TestFourierMeasure:
         assert len(fm) == 5
         for loc, mass in fm.atoms:
             assert abs(mass - expected[loc.real]) < 1e-9
+
+    @pytest.mark.parametrize("offset", [4e-10, 3e-9])
+    def test_atoms_merge_at_the_resolution(self, offset):
+        # each side contributes mass 1 near gamma = 0
+        up = DirichletCoefficients(UPPER, ((offset, -2j * PI),), 1.0, 0.0, 0.0)
+        lo = DirichletCoefficients(LOWER, ((0.0, 2j * PI),), 1.0, 0.0, 0.0)
+        atoms = [(loc, complex(m)) for loc, m in fourier_measure(up, lo).atoms]
+        if offset > 1e-9:
+            assert atoms == [(0.0, 1.0), (offset, 1.0)]
+        else:
+            assert atoms == [(0.0, 2.0)]
 
     def test_halfplane_order_enforced(self, sin_poly):
         up, lo = coefficient_pair(sin_poly, 2.0)
@@ -177,6 +190,18 @@ class TestPoisson:
     def test_empty_measures(self):
         empty = AtomicMeasure(())
         assert poisson_check(empty, empty, gaussian(1.0)) == 0.0
+
+    def test_two_lattices_at_exact_frequencies(self, two_lattice_product):
+        # closed-form zeros on +-20; gaussian(1) makes both truncation tails
+        # negligible, so only rounding is left when every atom sits at its
+        # coefficient's own frequency (atoms rounded to a 1e-9 grid: 1.4e-11)
+        zeros = [((k * PI - beta) / alpha, mult)
+                 for alpha, beta, mult in two_lattice_product.factors
+                 for k in range(-30, 31) if abs(k * PI - beta) <= 20 * alpha]
+        mu = AtomicMeasure.from_atoms(zeros)
+        mu_hat = fourier_measure(*coefficient_pair(
+            expand_sine_product(two_lattice_product), 6.0))
+        assert poisson_report(mu, mu_hat, gaussian(1.0)).residual <= 1e-14
 
     def test_complex_zero_example(self, fourcos_poly):
         mu = AtomicMeasure.from_atoms(
