@@ -1,8 +1,11 @@
 """The linear-growth criterion separating sine products from the rest.
 
 R(r) sums |h| over the Dirichlet coefficients of p'/p inside |gamma| < r.
-For a finite sine product R grows linearly; any other exponential
-polynomial with complex zeros shows exponential coefficient growth.
+For a finite sine product R grows linearly, within two bounds read from the
+coefficients; a coefficient that breaks one proves that p is not a sine
+product.  4 + 2cos shows exponential coefficient growth, and a Lee-Yang
+polynomial, whose zeros are all real, breaks the mass bound
+(e(z) = exp(2 pi i z)).
 """
 
 import math
@@ -34,7 +37,8 @@ def show(name, report):
     verdict = report.classification
     if report.K is not None:
         verdict += f" (K = {report.K:.6g})"
-    print(f"log-log slope {report.fit_exponent:.4f}  ->  {verdict}")
+    print(f"bounds (i) and (ii)  ->  {verdict}"
+          f"  (log-log slope {report.fit_exponent:.4f})")
     print()
 
 
@@ -54,6 +58,13 @@ def main():
     print(f"separation: R(16)/16 = {report.values[3]/16:.4g} vs "
           f"R(2)/2 = {report.values[0]/2:.4g} "
           f"(ratio {report.values[3]/16/(report.values[0]/2):.3g})")
+    print()
+
+    r2 = math.sqrt(2.0)
+    lee_yang = ExpPolynomial.from_terms([(0.0, 1.0), (1.0, 0.9), (r2, 0.9),
+                                         (1.0 + r2, 1.0)])
+    show("1 + 0.9 e(z) + 0.9 e(sqrt(2) z) + e((1+sqrt(2)) z): real zeros",
+         profile(lee_yang, radii))
 
 
 if __name__ == "__main__":

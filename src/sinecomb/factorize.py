@@ -1,13 +1,13 @@
 """Sine-product factorization of an exponential polynomial.
 
 Pipeline: compute Dirichlet coefficients on both half-planes, classify the
-growth of R(r); a superlinear profile rules the function out immediately.
-Otherwise all zeros in a window must be real; they are decomposed into
-arithmetic progressions (each the zero set of one sine factor), the
-progressions are converted to canonical sine parameters, and the remaining
-zero-free quotient is fitted as C * exp(i*a*z).  The reconstruction is then
-re-expanded and compared coefficient-by-coefficient against the input:
-factor() never returns a product whose re-expansion does not match.
+growth of R(r); a superlinear profile proves that p is no sine product.
+Otherwise (consistent with one up to gamma_max) all zeros in a window must
+be real; they are decomposed into arithmetic progressions (each the zero set
+of one sine factor), converted to canonical sine parameters, and the
+zero-free quotient is fitted as C*exp(i*a*z).  The re-expanded
+reconstruction must match the input coefficient by coefficient before
+factor() returns it.
 """
 
 from __future__ import annotations
@@ -365,10 +365,9 @@ def profile_radii(p: ExpPolynomial) -> tuple[float, ...]:
 
     The ladder is proportional to the largest consecutive frequency gap
     (for a sine product, roughly the sparsest zero lattice's spacing in the
-    coefficient support), so the fit window always spans several periods of
-    every progression; the shift by 1 keeps every radius >= 1.  The log-log
-    slope of R over the top half of this ladder separates linear from
-    superlinear growth with a wide margin at desk scale.
+    coefficient support), so it spans several periods of every progression;
+    the shift by 1 keeps every radius >= 1.  Its top radius is the default
+    gamma_max, up to which the growth bounds are checked.
     """
     freqs = [w for w, _ in p.terms]
     g_max = max(b - a for a, b in zip(freqs, freqs[1:]))
@@ -392,10 +391,10 @@ def factor(p: ExpPolynomial, config: FactorConfig = FactorConfig()) -> FactorOut
     """Decide whether ``p`` is a finite sine product and reconstruct it.
 
     Stages: Dirichlet coefficients on both half-planes; growth profile
-    (superlinear => not a sine product); zero localization in the window
-    (complex zeros => not a sine product, flagged as an inconsistency);
-    progression detection; sine conversion; prefactor fit; mandatory
-    re-expansion check.  Stage errors propagate as StageError.
+    (superlinear, a proof => not a sine product); zero localization in the
+    window (complex zeros => not a sine product, flagged as inconsistent);
+    progressions (none, or leftover points => inconclusive); sines; prefactor
+    fit; mandatory re-expansion check.  Other stage errors raise StageError.
     """
     if p.n_terms == 0:
         raise PreconditionError("empty polynomial")
@@ -426,10 +425,6 @@ def factor(p: ExpPolynomial, config: FactorConfig = FactorConfig()) -> FactorOut
         return FactorOutcome("not_sine_product", stage="criterion",
                              reason=REASON_CRITERION,
                              diagnostics={"growth": report})
-    if report.classification == "inconclusive":
-        return FactorOutcome("inconclusive", stage="criterion",
-                             reason="growth classification inconclusive",
-                             diagnostics={"growth": report})
 
     strip = zero_strip_estimate(p)
     if config.window is not None:
@@ -457,6 +452,9 @@ def factor(p: ExpPolynomial, config: FactorConfig = FactorConfig()) -> FactorOut
             min_points=config.min_points,
             neighbor_count=config.neighbor_count,
             reality_tol=config.reality_tol)
+    except DecompositionFailureError as exc:
+        return FactorOutcome("inconclusive", stage="progressions",
+                             reason=str(exc))
     except SinecombError as exc:
         raise StageError("progressions", exc) from exc
     if residual:

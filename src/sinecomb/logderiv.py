@@ -49,7 +49,8 @@ class DirichletCoefficients:
     nonzero; ``gamma_array`` and ``h_array`` hold its two columns.
     ``tail_bound`` bounds the absolute error of the truncated series against
     p'/p everywhere at least ``validity_height`` above the strip (below, for
-    the lower half-plane).
+    the lower half-plane).  ``rounding`` bounds, to first order, the
+    rounding error of each h (empty: exact); ``rounding_array`` holds it.
     """
 
     halfplane: str
@@ -57,8 +58,10 @@ class DirichletCoefficients:
     gamma_max: float
     tail_bound: float
     validity_height: float
+    rounding: tuple[float, ...] = field(default=(), repr=False, compare=False)
     gamma_array: np.ndarray = field(init=False, repr=False, compare=False)
     h_array: np.ndarray = field(init=False, repr=False, compare=False)
+    rounding_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.halfplane not in (UPPER, LOWER):
@@ -73,8 +76,12 @@ class DirichletCoefficients:
             raise ValueError("gammas not strictly increasing or too close")
         if np.any(h == 0):
             raise ValueError("zero coefficient stored")
+        if self.rounding and len(self.rounding) != len(self.coeffs):
+            raise ValueError("one rounding bound per coefficient")
         object.__setattr__(self, "gamma_array", g)
         object.__setattr__(self, "h_array", h)
+        object.__setattr__(self, "rounding_array",
+                           np.array(self.rounding or np.zeros(len(h)), dtype=float))
 
     @property
     def gammas(self) -> list[float]:
@@ -186,13 +193,15 @@ def _coeffs_upper(p: ExpPolynomial, gamma_max: float) -> DirichletCoefficients:
     # u[gamma] = g'[gamma] - sum_j c_j * u[gamma - gap_j].  Every collected
     # coefficient is exact (no order truncation), and errors feed forward
     # once instead of through an alternating series, which keeps the
-    # computation well conditioned at large expansion depths.
+    # computation well conditioned at large expansion depths.  v = -g - v*g,
+    # solved alongside, is 1/(1 + g) - 1: it carries each step's rounding on.
     support = _semigroup_support(g_gam, gamma_max)
-    u = np.zeros(len(support), dtype=complex)
-    gp_on = np.zeros(len(support), dtype=complex)
+    # rows u and v, and a last column of zeros that index -1 reads
+    uv, rhs = np.zeros((2, 2, len(support) + 1), dtype=complex)
     gp_idx = freq.lookup(support, g_gam)
     in_range = gp_idx >= 0  # gaps beyond gamma_max fall outside the support
-    np.add.at(gp_on, gp_idx[in_range], gp_cof[in_range])
+    np.add.at(rhs[0], gp_idx[in_range], gp_cof[in_range])
+    np.add.at(rhs[1], gp_idx[in_range], -g_cof[in_range])
 
     d_min = float(g_gam.min())
     start = 0
@@ -206,12 +215,27 @@ def _coeffs_upper(p: ExpPolynomial, gamma_max: float) -> DirichletCoefficients:
             end = max(end, start + 1)
             block = slice(start, end)
             idx = freq.lookup(support, support[block][None, :] - g_gam[:, None])
-            vals = np.where(idx >= 0, u[np.clip(idx, 0, None)], 0j)
-            u[block] = gp_on[block] - (g_cof[:, None] * vals).sum(axis=0)
+            terms = g_cof[:, None] * uv[:, idx]
+            uv[:, block] = rhs[:, block] - terms.sum(axis=1)
             start = end
+    (u, v), rhs = uv[:, :-1], rhs[:, :-1]
     if not np.isfinite(u).all():
         raise CapacityError(f"coefficients leave the double range below "
                             f"gamma_max={gamma_max:.6g}; reduce gamma_max")
+    # error_k = sum_i (1 + v)_(k-i) delta_i to first order, where step i errs
+    # by at most 2 n eps (|g'_i| + sum_j |c_j u_(i-j)|), the input's own
+    # rounding included.  Weights exp(-2 pi y gamma) factor over these sums;
+    # y = 0 suits slow growth (multiple zeros), y = y_v fast: the lesser holds.
+    rounding = np.inf
+    with np.errstate(all="ignore"):  # a weight out of range gives inf or nan
+        for y in (0.0, y_v):
+            w = np.exp(-TWO_PI * y * support)
+            step = (np.maximum.accumulate(np.abs(rhs[0]) * w)
+                    + _weighted_l1(g_gam, g_cof, y)
+                    * np.maximum.accumulate(np.abs(u) * w))
+            rounding = np.fmin(rounding, step / w
+                               * (1.0 + np.cumsum(np.abs(v) * w)))
+    rounding *= 2 * p.n_terms * 2.0 ** -52
 
     gammas = np.concatenate([[0.0], support])
     coeffs = np.concatenate([[1j * TWO_PI * omega0], u])
@@ -219,11 +243,12 @@ def _coeffs_upper(p: ExpPolynomial, gamma_max: float) -> DirichletCoefficients:
     keep = np.abs(coeffs) > COEFF_PRUNE_REL * scale
     pairs = tuple((float(g), complex(c))
                   for g, c in zip(gammas[keep], coeffs[keep]))
+    rounding = tuple(np.concatenate([[0.0], rounding])[keep].tolist())
     # any term of the series with frequency > gamma_max involves at least
     # ceil(gamma_max / max_gap) factors of g, so the tail is geometric
     m_min = max(0, math.ceil(gamma_max / float(g_gam.max())) - 1)
     tail = gp_norm * r ** m_min / (1.0 - r)
-    return DirichletCoefficients(UPPER, pairs, gamma_max, tail, y_v)
+    return DirichletCoefficients(UPPER, pairs, gamma_max, tail, y_v, rounding)
 
 
 def _reflect_poly(p: ExpPolynomial) -> ExpPolynomial:
@@ -255,7 +280,8 @@ def logderiv_coeffs_symbolic(p: ExpPolynomial, halfplane: str,
     upper = _coeffs_upper(_reflect_poly(p), gamma_max)
     pairs = tuple((-g + 0.0, -h) for g, h in reversed(upper.coeffs))
     return DirichletCoefficients(LOWER, pairs, gamma_max, upper.tail_bound,
-                                 -upper.validity_height)
+                                 -upper.validity_height,
+                                 upper.rounding[::-1])
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1

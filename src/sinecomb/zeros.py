@@ -34,6 +34,7 @@ import numpy as np
 from .core import ExpPolynomial, zero_strip_estimate
 from .errors import (
     BoundaryProximityError,
+    CapacityError,
     EmptyPolynomialError,
     QuadratureFailureError,
 )
@@ -50,6 +51,8 @@ EDGE_TOL = 2e-6
 #: Rectangle jitter is below this fraction of the rectangle size.
 JITTER_FRACTION = 0.01
 MAX_BOUNDARY_TRIES = 5
+#: Most samples of one boundary scan, 16 per unit length (+-50 takes 1,600).
+SCAN_CAP = 100_000
 #: Largest number of distinct zeros resolved in one cell: the Hankel
 #: matrix has at most this size, so a cell with more zeros resolves only
 #: if fewer than this many are distinct.  Enough for a 5-fold and a triple
@@ -156,6 +159,9 @@ def _segment_dips(p: ExpPolynomial, a: complex,
     all detected, not just the deepest one.
     """
     dz = b - a
+    if 16 * abs(dz) >= SCAN_CAP:
+        raise CapacityError(f"boundary scan of an edge {abs(dz):.3g} long "
+                            f"exceeds {SCAN_CAP} samples")
     n = max(129, int(16 * abs(dz)) + 1)
     t = np.linspace(0.0, 1.0, n)
     vals, scales = p.log_abs(a + dz * t)

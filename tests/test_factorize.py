@@ -206,6 +206,34 @@ class TestFactor:
         assert out.stage == "criterion"
         assert out.reason == "criterion (r2) fails"
 
+    @pytest.mark.parametrize("a, verdict, stage", [
+        (0.1, "inconclusive", "progressions"),
+        (0.5, "not_sine_product", "criterion"),
+        (0.9, "not_sine_product", "criterion"),
+    ])
+    def test_lee_yang_inputs(self, a, verdict, stage):
+        # 1 + a e(x) + a e(sqrt2 x) + e((1+sqrt2) x) has only real zeros but
+        # is no sine product; at a = 0.1 the mass bound breaks only past
+        # the default gamma_max, and the zeros form no progression
+        r2 = math.sqrt(2.0)
+        p = ExpPolynomial.from_terms([(0.0, 1.0), (1.0, a), (r2, a),
+                                      (1.0 + r2, 1.0)])
+        out = factor(p)
+        assert (out.verdict, out.stage) == (verdict, stage)
+
+    def test_staircase_product_round_trip(self):
+        # R(r) is a staircase whose log-log slope over the default radii
+        # is 1.11, yet it stays below the mass bound
+        s = SineProduct.from_factors(
+            -0.8877041611 + 0.5046186765j, -1.8870955718,
+            [(0.9502611442, 1.0546711353, 1), (1.5880707212, 1.9290558747, 1),
+             (1.8586956491, 2.2969253255, 2)])
+        out = factor(expand_sine_product(s),
+                     FactorConfig(window=(-11.9017, 11.9017)))
+        assert out.verdict == "sine_product"
+        assert out.diagnostics["growth"].fit_exponent > 1.1
+        assert_products_close(out.result.product, s, tol=1e-6)
+
     def test_constant_degenerate(self):
         out = factor(ExpPolynomial.from_terms([(0.0, 7.0)]))
         assert out.verdict == "sine_product"

@@ -9,6 +9,7 @@ from sinecomb import (
     LOWER,
     UPPER,
     ExpPolynomial,
+    SineProduct,
     expand_sine_product,
     logderiv_coeff_numeric,
     logderiv_coeff_numeric_with_error,
@@ -90,6 +91,27 @@ class TestSymbolic:
                 assert abs(h - ref) <= 1e-6 * scale
             for h in leftovers.values():
                 assert abs(h) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("alpha, beta, mult", [
+        (4.93, 2.79, 1), (0.5, 1.1, 5), (3.0, 0.3, 7), (0.5, 1.1, 9),
+        (2.0, 0.3, 10)])
+    def test_rounding_bound_covers_the_error(self, alpha, beta, mult):
+        # sin^m: the substitution amplifies rounding like k^(m-1), to 1e-5
+        # of |h| for m = 10 at 1 + 32 gaps; a simple sine carries 1.4e-14
+        # at its 33rd coefficient, from the rounding of its expansion
+        s = SineProduct.from_factors(1.0, 0.0, [(alpha, beta, mult)])
+        # p(-z) is the same product with beta -> pi - beta, up to sign
+        mirror = SineProduct.from_factors(1.0, 0.0, [(alpha, PI - beta, mult)])
+        gamma_max = 1.0 + 32.0 * alpha / PI
+        p = expand_sine_product(s)
+        for half, oracle, sign in ((UPPER, cot_series_upper(s, gamma_max), 1),
+                                   (LOWER, cot_series_upper(mirror, gamma_max), -1)):
+            d = logderiv_coeffs_symbolic(p, half, gamma_max)
+            assert len(d.rounding) == len(d.coeffs) == len(oracle)
+            for (g, h), bound in zip(d.coeffs, d.rounding):
+                ref = oracle[round(sign * g * 1e6)]
+                # h_0, exact, differs by the rounding of omega_0 only
+                assert abs(sign * h - ref) <= bound + 1e-14 * abs(ref)
 
     def test_capacity_error(self):
         # 13 incommensurate frequencies: the gap semigroup below gamma_max
