@@ -75,8 +75,8 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
         radii = cfg.radii
         if len(radii) < 4:
             raise ConfigError("radii needs at least 4 entries")
-        if radii[0] < 1.0 or any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ConfigError("radii must be increasing and >= 1")
+        if not radii[0] > 0.0 or any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ConfigError("radii must be increasing and > 0")
     for tf in cfg.battery:
         _battery_entry(tf)  # raises ConfigError on bad entries
     return cfg

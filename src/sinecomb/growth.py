@@ -53,13 +53,13 @@ def growth_profile(upper: DirichletCoefficients, lower: DirichletCoefficients,
                    radii) -> GrowthReport:
     """R at each radius, and both bounds checked at every stored coefficient.
 
-    Needs at least 4 increasing radii >= 1, all within both truncations.
+    Needs at least 4 increasing radii > 0, all within both truncations.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise PreconditionError("need at least 4 radii for the growth fit")
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])) or radii[0] < 1.0:
-        raise PreconditionError("radii must be increasing and >= 1")
+    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])) or not radii[0] > 0.0:
+        raise PreconditionError("radii must be increasing and > 0")
     if upper.halfplane != UPPER or lower.halfplane != LOWER:
         raise PreconditionError("pass (upper, lower) coefficient sets in order")
     if max(radii) > min(upper.gamma_max, lower.gamma_max) + 1e-12:

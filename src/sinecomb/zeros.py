@@ -169,24 +169,28 @@ def _segment_dips(p: ExpPolynomial, a: complex,
     interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
     candidates = [0, n - 1] + (np.nonzero(interior)[0] + 1).tolist()
     candidates.sort(key=lambda i: vals[i])
-    out = []
-    for k in candidates[:8]:
-        z_k = a + dz * t[k]
-        gap = _clearance(p, z_k)
-        if gap > 4.0 * spacing:
-            out.append((float(vals[k]), float(scales[k]), gap))
-            continue
-        best, scale, z_best = float(vals[k]), float(scales[k]), z_k
-        lo, hi = t[max(k - 1, 0)], t[min(k + 1, n - 1)]
+    ks = np.array(candidates[:8])
+    gaps = [_clearance(p, a + dz * t[k]) for k in ks.tolist()]
+    out = [(float(vals[k]), float(scales[k]), gap) for k, gap in zip(ks, gaps)]
+    zoom = np.flatnonzero(np.array(gaps) <= 4.0 * spacing)
+    if zoom.size:
+        # all brackets zoom together: one 33-point sample per bracket and level
+        k = ks[zoom]
+        best, scale, t_best = vals[k], scales[k], t[k]
+        lo, hi = t[np.maximum(k - 1, 0)], t[np.minimum(k + 1, n - 1)]
+        rows = np.arange(k.size)
         for _ in range(6):
-            tt = np.linspace(lo, hi, 33)
+            tt = np.linspace(lo, hi, 33, axis=-1)
             vv, ss = p.log_abs(a + dz * tt)
-            j = int(vv.argmin())
-            if vv[j] < best:
-                best, scale = float(vv[j]), float(ss[j])
-                z_best = a + dz * tt[j]
-            lo, hi = tt[max(j - 1, 0)], tt[min(j + 1, 32)]
-        out.append((best, scale, _clearance(p, z_best)))
+            j = vv.argmin(axis=1)
+            lower = vv[rows, j] < best
+            best = np.where(lower, vv[rows, j], best)
+            scale = np.where(lower, ss[rows, j], scale)
+            t_best = np.where(lower, tt[rows, j], t_best)
+            lo, hi = tt[rows, np.maximum(j - 1, 0)], tt[rows, np.minimum(j + 1, 32)]
+        for i, v, sc, tb in zip(zoom.tolist(), best.tolist(), scale.tolist(),
+                                t_best.tolist()):
+            out[i] = (v, sc, _clearance(p, a + dz * tb))
     return out
 
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from sinecomb.cli import main
 
+from test_overflow import twelve_terms
+
 PI = math.pi
 
 SIN_POLY = ('{"terms": [{"omega": -0.5, "coeff": [0.0, 0.5]},'
@@ -146,6 +148,17 @@ class TestOtherCommands:
         assert report["classification"] == "superlinear"
         assert report["K"] is None
 
+    def test_criterion_below_gamma_max_8(self, tmp_path, capsys):
+        # default radii gamma_max/8 .. gamma_max, all below 1 but the last:
+        # the 12-term input breaks the bounds at gamma_max 2 already
+        f = tmp_path / "twelve.json"
+        f.write_text(json.dumps({"terms": [
+            {"omega": w, "coeff": [q.real, q.imag]} for w, q in twelve_terms().terms]}))
+        assert main(["criterion", "--input", str(f), "--gamma-max", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["radii"] == [0.25, 0.5, 1, 2]
+        assert report["classification"] == "superlinear"
+
     def test_logderiv(self, sin_file, capsys):
         assert main(["logderiv", "--input", sin_file,
                      "--gamma-max", "3"]) == 0
@@ -225,22 +238,51 @@ def spacing():
     return st.one_of(near, st.floats(0.05, 2.0))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(w0=st.floats(-3.0, 3.0), gaps=st.lists(spacing(), max_size=3),
-       coeffs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-                       min_size=4, max_size=4))
-def test_cli_never_crashes_on_small_inputs(tmp_path_factory, w0, gaps, coeffs):
-    # 1-4 terms, some spacings between 1e-9 and 1e-6: every run ends in an
-    # answer or a typed error, never in a traceback or the negative verdict
+def _fuzz_input(tmp_path_factory, w0, gaps, coeffs):
+    """The input file of 1-4 terms from w0 on, spaced by gaps."""
     omegas = [w0]
     for g in gaps:
         omegas.append(omegas[-1] + g)
     terms = [{"omega": w, "coeff": list(c)} for w, c in zip(omegas, coeffs)]
     f = tmp_path_factory.getbasetemp() / "fuzz.json"
     f.write_text(json.dumps({"terms": terms}))
+    return f
+
+
+def _run(argv):
+    """(exit code, standard error) of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+small_inputs = given(
+    w0=st.floats(-3.0, 3.0), gaps=st.lists(spacing(), max_size=3),
+    coeffs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                    min_size=4, max_size=4))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@small_inputs
+def test_cli_never_crashes_on_small_inputs(tmp_path_factory, w0, gaps, coeffs):
+    # 1-4 terms, some spacings between 1e-9 and 1e-6: every run ends in an
+    # answer or a typed error, never in a traceback or the negative verdict
+    f = _fuzz_input(tmp_path_factory, w0, gaps, coeffs)
     for command in ("logderiv", "fourier", "criterion"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--input", str(f), "--gamma-max", "8"])
+        code, err = _run([command, "--input", str(f), "--gamma-max", "8"])
         assert code in (0, 2, 4, 5, 6)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@small_inputs
+def test_zero_searches_never_crash_on_small_inputs(tmp_path_factory, w0, gaps,
+                                                   coeffs):
+    # the commands that integrate p'/p: an answer, the negative verdict of
+    # factor, or a typed error
+    f = _fuzz_input(tmp_path_factory, w0, gaps, coeffs)
+    for command in (["zeros", "--rect=-5,5,-3,3"], ["poisson"], ["factor"]):
+        code, err = _run(command + ["--input", str(f)])
+        assert code in (0, 1, 2, 4, 5, 6)
+        assert "Traceback" not in err

@@ -100,6 +100,15 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             growth_profile(up, lo, (2.0, 8.0, 4.0, 8.0))
 
+    def test_radii_below_one(self, sin_poly):
+        # the decision reads no radius: any increasing radii > 0 will do
+        up = logderiv_coeffs_symbolic(sin_poly, UPPER, 2.0)
+        lo = logderiv_coeffs_symbolic(sin_poly, LOWER, 2.0)
+        report = growth_profile(up, lo, (0.25, 0.5, 1.0, 2.0))
+        assert report.classification == "linear"
+        with pytest.raises(PreconditionError):
+            growth_profile(up, lo, (0.0, 0.5, 1.0, 2.0))
+
 
 class TestInvariants:
     def test_necessity_on_random_products(self):

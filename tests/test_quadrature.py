@@ -1,5 +1,6 @@
-"""Adaptive segment quadrature: batch bound, budget exhaustion, several
-segments in one call; and the Newton noise floor of the moment stage."""
+"""Adaptive segment quadrature: the Kronrod rule, batch bound, budget
+exhaustion, several segments in one call; and the Newton noise floor of the
+moment stage."""
 
 import cmath
 import math
@@ -7,12 +8,59 @@ import math
 import numpy as np
 import pytest
 
-from sinecomb import ExpPolynomial, Rect, SineProduct, expand_sine_product
-from sinecomb.quadrature import BATCH_PANELS, integrate_segment
+import sinecomb.zeros
+from sinecomb import (ExpPolynomial, Rect, SineProduct, expand_sine_product,
+                      find_zeros_report, zero_strip_estimate)
+from sinecomb.quadrature import BATCH_PANELS, W, X, integrate_segment
 from sinecomb.zeros import _Search
 
 from test_overflow import twelve_terms
 
+
+# -- the rule ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("column, degree", [(0, 22), (1, 13)])
+def test_rule_is_exact_on_polynomials(column, degree):
+    # K15 has degree 3 * 7 + 1 = 22, the G7 rule at its odd nodes 2 * 7 - 1
+    for d in range(degree + 1):
+        exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+        assert abs(W[:, column] @ X ** d - exact) <= 1e-15
+    assert np.all(W[0::2, 1] == 0)
+    assert abs(W[:, column] @ X ** (degree + 1) - 2.0 / (degree + 2)) > 1e-6
+
+
+def test_integrand_calls_take_whole_panels():
+    z0 = 0.5 + 3e-4j
+    sizes = []
+    integrate_segment(_counted(lambda z: 1.0 / (z - z0), sizes), 0.0, 1.0, 1e-14,
+                      max_panels=3000)
+    assert all(n % X.size == 0 and 0 < n <= 16 * BATCH_PANELS for n in sizes)
+    assert max(sizes) == 16 * BATCH_PANELS // X.size * X.size
+
+
+def test_three_factor_search_node_count(monkeypatch):
+    # the reference 3-factor product on +-25.3: 102,624 integrand nodes with
+    # the former GL8/GL16 pair of 24 nodes a panel
+    factors = [(math.pi, 0.0, 1), (math.sqrt(2) * math.pi, 0.3, 1),
+               (math.sqrt(3) * math.pi, 1.1, 2)]
+    p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, factors))
+    strip = zero_strip_estimate(p)
+    rect = Rect(-25.3, 25.3, strip.alpha - strip.eta, strip.beta + strip.eta)
+    sizes = []
+
+    def counted(f, *args, **kwargs):
+        return integrate_segment(_counted(f, sizes), *args, **kwargs)
+
+    monkeypatch.setattr(sinecomb.zeros, "integrate_segment", counted)
+    measure, _ = find_zeros_report(p, rect)
+    assert measure.total_mass() == sum(
+        m * sum(abs(k * math.pi - beta) < 25.3 * alpha for k in range(-100, 101))
+        for alpha, beta, m in factors)
+    assert all(n % X.size == 0 and n <= 16 * BATCH_PANELS for n in sizes)
+    assert sum(sizes) < 90_000
+
+
+# -- one segment ---------------------------------------------------------------------
 
 def test_near_pole_calls_stay_bounded_and_sum_every_panel():
     # at tol 1e-14 the rounding noise of 1/(z - z0) near the pole exceeds

@@ -17,6 +17,7 @@ from sinecomb import (
     zeros_to_csv,
 )
 from sinecomb.errors import BoundaryProximityError, EmptyPolynomialError
+from sinecomb.zeros import _clearance, _segment_dips
 
 from conftest import Y0
 
@@ -84,6 +85,49 @@ class TestFindZeros:
         assert diag["max_residual"] <= diag["residual_bound"]
         assert diag["exit_status"] == 0
         assert diag["coarse"] == []
+
+
+def _segment_dips_loop(p, a, b):
+    """Reference for _segment_dips: each dip zoomed on its own."""
+    dz = b - a
+    n = max(129, int(16 * abs(dz)) + 1)
+    t = np.linspace(0.0, 1.0, n)
+    vals, scales = p.log_abs(a + dz * t)
+    spacing = abs(dz) / (n - 1)
+    interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
+    candidates = [0, n - 1] + (np.nonzero(interior)[0] + 1).tolist()
+    candidates.sort(key=lambda i: vals[i])
+    out = []
+    for k in candidates[:8]:
+        z_k = a + dz * t[k]
+        gap = _clearance(p, z_k)
+        if gap > 4.0 * spacing:
+            out.append((float(vals[k]), float(scales[k]), gap))
+            continue
+        best, scale, z_best = float(vals[k]), float(scales[k]), z_k
+        lo, hi = t[max(k - 1, 0)], t[min(k + 1, n - 1)]
+        for _ in range(6):
+            tt = np.linspace(lo, hi, 33)
+            vv, ss = p.log_abs(a + dz * tt)
+            j = int(vv.argmin())
+            if vv[j] < best:
+                best, scale = float(vv[j]), float(ss[j])
+                z_best = a + dz * tt[j]
+            lo, hi = tt[max(j - 1, 0)], tt[min(j + 1, 32)]
+        out.append((best, scale, _clearance(p, z_best)))
+    return out
+
+
+@pytest.mark.parametrize("a, b", [
+    (-4.9 + 1e-3j, 5.3 + 1e-3j),  # along the zeros, every dip zoomed
+    (-0.9 - 0.4j, 0.6 + 0.5j),
+    (1.0 - 1.0j, 1.0 + 1.0j),  # through a zero
+    (-30.0 + 0.2j, 30.0 + 0.2j),
+])
+def test_batched_zoom_matches_the_loop(a, b):
+    p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, [
+        (PI, 0.0, 1), (math.sqrt(2) * PI, 0.3, 1), (math.sqrt(3) * PI, 1.1, 2)]))
+    assert _segment_dips(p, a, b) == _segment_dips_loop(p, a, b)
 
 
 class TestInvariants:
