@@ -2,9 +2,9 @@
 recover them from the polynomial alone.
 
 The pipeline: Dirichlet coefficients of p'/p on both half-planes -> growth
-classification -> zero comb in a window -> arithmetic-progression
-decomposition -> canonical sine factors -> exponential prefactor fit ->
-mandatory re-expansion check.
+classification -> sine factors read from the upper coefficients, the masses
+of the Fourier measure (Prony's method on the harmonics of each frequency)
+-> prefactor from the lowest term -> mandatory re-expansion check.
 """
 
 import math
@@ -27,7 +27,6 @@ def describe(outcome):
         for alpha, beta, mult in r.product.factors:
             print(f"  sin({alpha:.12g} z + {beta:.12g}) ^ {mult}")
         print(f"  re-expansion discrepancy: {r.reconstruction_error:.2e}")
-        print(f"  max |Im zero| seen: {r.max_zero_imag:.2e}")
     print()
 
 

@@ -6,8 +6,8 @@ the JSON interchange formats of :mod:`sinecomb.jsonio`; every report is
 emitted as deterministic JSON (17 significant digits), so identical inputs
 and configuration produce byte-identical output.
 
-Exit codes: 0 success/affirmative, 1 negative verdict, 2 inconclusive,
-4 input parse error, 5 configuration error, 6 numerical-stage failure.
+Exit codes: 0 success/affirmative, 1 negative verdict, 4 input parse error,
+5 configuration error, 6 numerical-stage failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .zeros import Rect, find_zeros_report, zeros_to_csv
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_PARSE = 4
 EXIT_CONFIG = 5
 EXIT_NUMERICAL = 6
@@ -44,7 +43,6 @@ EXIT_NUMERICAL = 6
 class RunConfig:
     """Static run configuration; None values are resolved per command."""
 
-    reality_tol: float = 1e-7
     reconstruction_tol: float = 1e-6
     zero_tol: float = 1e-12
     gamma_max: float | None = None
@@ -57,12 +55,12 @@ class RunConfig:
     )
 
 
-_CONFIG_KEYS = {"reality_tol", "reconstruction_tol", "zero_tol", "gamma_max",
-                "window", "radii", "battery"}
+_CONFIG_KEYS = {"reconstruction_tol", "zero_tol", "gamma_max", "window", "radii",
+                "battery"}
 
 
 def _validate_config(cfg: RunConfig) -> RunConfig:
-    for name in ("reality_tol", "reconstruction_tol", "zero_tol"):
+    for name in ("reconstruction_tol", "zero_tol"):
         value = getattr(cfg, name)
         if not (isinstance(value, (int, float)) and value > 0):
             raise ConfigError(f"{name} must be a positive number")
@@ -127,7 +125,6 @@ def load_config(path: str | None) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     return {
-        "reality_tol": cfg.reality_tol,
         "reconstruction_tol": cfg.reconstruction_tol,
         "zero_tol": cfg.zero_tol,
         "gamma_max": cfg.gamma_max,
@@ -291,10 +288,7 @@ def _cmd_factor(args, cfg: RunConfig) -> int:
     fcfg = FactorConfig(
         gamma_max=cfg.gamma_max,
         radii=cfg.radii,
-        window=cfg.window,
-        reality_tol=cfg.reality_tol,
         reconstruction_tol=cfg.reconstruction_tol,
-        zero_tol=cfg.zero_tol,
     )
     outcome = factor(p, fcfg)
     report = {}
@@ -304,21 +298,12 @@ def _cmd_factor(args, cfg: RunConfig) -> int:
     report["reason"] = outcome.reason
     report["stage"] = outcome.stage
     if outcome.result is not None:
-        report["max_zero_imag"] = outcome.result.max_zero_imag
         report["reconstruction_error"] = outcome.result.reconstruction_error
-        report["residual_points"] = list(outcome.result.residual_points)
     else:
-        report["max_zero_imag"] = outcome.diagnostics.get("max_zero_imag")
         report["reconstruction_error"] = outcome.diagnostics.get(
             "reconstruction_error")
-        report["residual_points"] = list(
-            outcome.diagnostics.get("residual_points", ()))
     _emit(args, report)
-    if outcome.verdict == "sine_product":
-        return EXIT_OK
-    if outcome.verdict == "not_sine_product":
-        return EXIT_NEGATIVE
-    return EXIT_INCONCLUSIVE
+    return EXIT_OK if outcome.verdict == "sine_product" else EXIT_NEGATIVE
 
 
 class _Parser(argparse.ArgumentParser):

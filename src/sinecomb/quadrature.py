@@ -99,15 +99,17 @@ def integrate_segment(f, a: complex | np.ndarray, b: complex | np.ndarray,
     min_len = 2.0 ** -46
 
     while ta.size:
-        dz_p = dz[seg]
-        centre = a[seg] + dz_p * (ta + half)
+        a_p, dz_p = a[seg], dz[seg]
+        # nodes a + dz*t from their real parameters t in [0, 1]: a node's
+        # rounding depends on its t alone, not on a rounded panel centre too
+        t = (ta + half)[:, None] + half * X
         scale = dz_p * half
         parts = []
         for k in range(0, ta.size, batch):
             s = slice(k, k + batch)
-            fz = np.asarray(f((centre[s, None] + scale[s, None] * X).ravel()))
+            fz = np.asarray(f((a_p[s, None] + dz_p[s, None] * t[s]).ravel()))
             vector = fz.ndim == 2
-            parts.append((fz.reshape(-1, X.size) @ W).reshape(-1, len(centre[s]), 2))
+            parts.append((fz.reshape(-1, X.size) @ W).reshape(-1, len(t[s]), 2))
         sums = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)) * scale[:, None]
         value = sums[..., 0]
         err = np.abs(value - sums[..., 1]).max(axis=0)

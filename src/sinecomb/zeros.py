@@ -224,6 +224,30 @@ def _nearest(z: np.ndarray) -> np.ndarray:
     return dist.min(axis=1)
 
 
+def hankel_pencil(s: np.ndarray, k: int, level: float):
+    """Prony's method: the nodes phi_l and weights w_l of
+    s_j = sum_l w_l phi_l^j, j < 2k, from the k x k Hankel pencil
+    ([s_(i+j+1)], [s_(i+j)]) (Hua & Sarkar, IEEE Trans. ASSP 38, 1990;
+    Kravanja & Van Barel, LNM 1727, 2000).
+
+    The rank d of [s_(i+j)] is the number of its singular values above
+    ``level``; the pencil reduced to that rank has the d nodes as
+    eigenvalues, and a Vandermonde solve on s_0..s_(d-1) gives their
+    weights.  Returns (nodes, weights, all k singular values); the nodes
+    and weights are empty when d = 0.
+    """
+    h0 = np.array([s[i:i + k] for i in range(k)])
+    h1 = np.array([s[i + 1:i + k + 1] for i in range(k)])
+    u, sv, vh = np.linalg.svd(h0)
+    d = int((sv > level).sum())
+    if d == 0:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex), sv
+    pencil = (u[:, :d].conj().T @ h1 @ vh[:d].conj().T) / sv[:d, None]
+    phi = np.linalg.eigvals(pencil)
+    weights = np.linalg.solve(np.vander(phi, d, increasing=True).T, s[:d])
+    return phi, weights, sv
+
+
 def _noise_radius(mult: int) -> float:
     """Distance below which |p| near an m-fold zero is double-precision
     rounding noise of the term sum: (pi*r)^m ~ 1e-13."""
@@ -464,7 +488,7 @@ class _Search:
         d < k or n <= MOMENT_MAX (Kravanja, Sakurai & Van Barel 1999), the
         pencil ([s_(i+j+1)], [s_(i+j)]) reduced to its rank-d part has
         eigenvalues phi_j, and a Vandermonde solve on s_0..s_(d-1) gives the
-        m_j.  Each zero is then placed by _locate.  The atoms are appended
+        m_j (hankel_pencil).  Each zero is then placed by _locate.  The atoms are appended
         only if every gate holds: moments within RANK_GAP noise levels of
         their tolerance, a clear rank gap above the noise, near-integer
         multiplicities >= 1 summing to n, every zero placed inside the cell
@@ -477,16 +501,11 @@ class _Search:
             # an edge ran through the rounding noise of a multiple zero;
             # every later gate scales with this noise, so all would pass
             return False
-        h0 = np.array([s[i:i + k] for i in range(k)])
-        h1 = np.array([s[i + 1:i + k + 1] for i in range(k)])
-        u, sv, vh = np.linalg.svd(h0)
         level = k * noise  # bounds the 2-norm of the Hankel matrix's error
-        d = int((sv > level).sum())
+        phi, mass, sv = hankel_pencil(s, k, level)
+        d = len(phi)
         if d == 0 or sv[d - 1] < RANK_GAP * level or d == k < n:
             return False
-        pencil = (u[:, :d].conj().T @ h1 @ vh[:d].conj().T) / sv[:d, None]
-        phi = np.linalg.eigvals(pencil)
-        mass = np.linalg.solve(np.vander(phi, d, increasing=True).T, s[:d])
         mult = np.rint(mass.real)
         if (np.abs(mass - mult).max() > MASS_ACCEPT or mult.min() < 1
                 or mult.sum() != n):

@@ -110,6 +110,20 @@ class TestFactorCommand:
         assert report["reason"] == "criterion (r2) fails"
         assert report["stage"] == "criterion"
 
+    def test_lee_yang_exit_1_at_fourier(self, tmp_path, capsys):
+        # real zeros, linear up to the default gamma_max, no sine product
+        r2 = math.sqrt(2.0)
+        f = tmp_path / "lee_yang.json"
+        f.write_text(json.dumps({"terms": [
+            {"omega": w, "coeff": [q, 0.0]}
+            for w, q in ((0.0, 1.0), (1.0, 0.1), (r2, 0.1), (1.0 + r2, 1.0))]}))
+        assert main(["factor", "--input", str(f)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["stage"]) == ("not_sine_product",
+                                                        "fourier")
+        assert set(report) == {"verdict", "reason", "stage",
+                               "reconstruction_error"}
+
     def test_three_radii_config_exit_5(self, sin_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"radii": [2, 4, 8]}')
@@ -186,6 +200,7 @@ class TestOtherCommands:
         assert main(["--print-config"]) == 0
         cfg = json.loads(capsys.readouterr().out)
         assert "threads" not in cfg and "quadrature_tol" not in cfg
+        assert "reality_tol" not in cfg
         assert len(cfg["battery"]) == 3
 
     def test_unknown_config_key_exit_5(self, sin_file, tmp_path):
@@ -271,7 +286,7 @@ def test_cli_never_crashes_on_small_inputs(tmp_path_factory, w0, gaps, coeffs):
     f = _fuzz_input(tmp_path_factory, w0, gaps, coeffs)
     for command in ("logderiv", "fourier", "criterion"):
         code, err = _run([command, "--input", str(f), "--gamma-max", "8"])
-        assert code in (0, 2, 4, 5, 6)
+        assert code in (0, 4, 5, 6)
         assert "Traceback" not in err
 
 
@@ -284,5 +299,5 @@ def test_zero_searches_never_crash_on_small_inputs(tmp_path_factory, w0, gaps,
     f = _fuzz_input(tmp_path_factory, w0, gaps, coeffs)
     for command in (["zeros", "--rect=-5,5,-3,3"], ["poisson"], ["factor"]):
         code, err = _run(command + ["--input", str(f)])
-        assert code in (0, 1, 2, 4, 5, 6)
+        assert code in (0, 1, 4, 5, 6)
         assert "Traceback" not in err

@@ -22,11 +22,11 @@ from sinecomb import (
     find_zeros_report,
     zero_strip_estimate,
 )
-from sinecomb.errors import QuadratureFailureError, StageError
+from sinecomb.errors import QuadratureFailureError
 from sinecomb.zeros import CLUSTER_TOL, MOMENT_MAX, _boundary_ok, _Search
 
 from conftest import random_sine_product
-from test_factorize import assert_products_close
+from test_factorize import assert_factors_fast, assert_products_close
 
 PI = math.pi
 
@@ -122,15 +122,41 @@ HIGH_MULTIPLICITY = high_multiplicity_corpus(12, 707)
 @pytest.mark.parametrize("s", HIGH_MULTIPLICITY,
                          ids=[f"p{i}" for i in range(len(HIGH_MULTIPLICITY))])
 def test_high_multiplicity_factors_or_raises(s):
-    # a typed failure is allowed; a wrong verdict or wrong factors are not
+    # every product factors, with no typed failure, to 1e-9
     rect = corpus_rect(s)
-    window = (rect.x_min, rect.x_max)
-    try:
-        out = factor(expand_sine_product(s), FactorConfig(window=window))
-    except StageError:
-        return
+    out = factor(expand_sine_product(s),
+                 FactorConfig(window=(rect.x_min, rect.x_max)))
     assert out.verdict == "sine_product"
-    assert_products_close(out.result.product, s)
+    assert_products_close(out.result.product, s, tol=1e-9)
+
+
+@pytest.mark.parametrize("i", [4, 9, 18])
+def test_zero_search_failures_factor(i):
+    # find_zeros raises on these after 6.8 to 15.6 s; factor runs none
+    s = high_multiplicity_corpus(24, 6)[i]
+    rect = corpus_rect(s)
+    assert_factors_fast(s, (rect.x_min, rect.x_max))
+
+
+def test_near_double_zeros_factor():
+    # the benchmark's FAULT_PRODUCT
+    rect = corpus_rect(NEAR_DOUBLE)
+    assert_factors_fast(NEAR_DOUBLE, (rect.x_min, rect.x_max))
+
+
+def test_cluster_of_double_zeros():
+    # three double zeros 0.0097 apart near -1.153: product 40 of seed 2
+    rng = np.random.default_rng(2)
+    s = [random_sine_product(rng) for _ in range(41)][40]
+    measure, diagnostics = find_zeros_report(expand_sine_product(s),
+                                             corpus_rect(s))
+    exact = closed_form_zeros(s, diagnostics["rect_used"])
+    assert [mass for _, mass in measure.atoms] == [m for _, m in exact]
+    cluster = [(z, z_exact) for (z, _), (z_exact, _) in
+               zip(measure.atoms, exact) if abs(z_exact + 1.153) < 0.02]
+    assert len(cluster) == 3
+    for z, z_exact in cluster:
+        assert abs(z - z_exact) <= 1e-9
 
 
 # -- mpmath oracle on generic inputs ------------------------------------------
