@@ -37,8 +37,7 @@ def show(name, report):
     verdict = report.classification
     if report.K is not None:
         verdict += f" (K = {report.K:.6g})"
-    print(f"bounds (i) and (ii)  ->  {verdict}"
-          f"  (log-log slope {report.fit_exponent:.4f})")
+    print(f"bounds (i) and (ii)  ->  {verdict}")
     print()
 
 

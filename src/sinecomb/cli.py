@@ -27,7 +27,7 @@ from .errors import (
     SinecombError,
 )
 from .factorize import FactorConfig, factor
-from .growth import growth_profile
+from .growth import growth_profile, radii_reached, sweep_coefficients
 from .logderiv import LOWER, UPPER, logderiv_coeffs_symbolic
 from .measures import TestFunction, fourier_measure, poisson_report
 from .zeros import Rect, find_zeros_report, zeros_to_csv
@@ -71,10 +71,9 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
             raise ConfigError("window must be [lo, hi] with lo < hi")
     if cfg.radii is not None:
         radii = cfg.radii
-        if len(radii) < 4:
-            raise ConfigError("radii needs at least 4 entries")
-        if not radii[0] > 0.0 or any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ConfigError("radii must be increasing and > 0")
+        if not radii or not radii[0] > 0.0 or any(
+                b <= a for a, b in zip(radii, radii[1:])):
+            raise ConfigError("radii must be nonempty, increasing and > 0")
     for tf in cfg.battery:
         _battery_entry(tf)  # raises ConfigError on bad entries
     return cfg
@@ -238,15 +237,14 @@ def _cmd_criterion(args, cfg: RunConfig) -> int:
         gamma_max = _resolve_gamma_max(args, cfg)
         radii = tuple(gamma_max / 2 ** k for k in range(3, -1, -1))
     gamma_max = max(radii)
-    upper = logderiv_coeffs_symbolic(p, UPPER, gamma_max)
-    lower = logderiv_coeffs_symbolic(p, LOWER, gamma_max)
-    report = growth_profile(upper, lower, radii)
+    upper, lower = sweep_coefficients(p, gamma_max)
+    report = growth_profile(upper, lower,
+                            radii_reached(radii, gamma_max, upper, lower))
     payload = {
         "radii": list(report.radii),
         "values": list(report.values),
         "classification": report.classification,
         "K": report.K,
-        "fit_exponent": report.fit_exponent,
     }
     _emit(args, payload)
     return EXIT_OK

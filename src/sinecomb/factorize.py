@@ -58,22 +58,13 @@ from .errors import (
     SinecombError,
     StageError,
 )
-from .growth import growth_profile
-from .logderiv import (
-    COEFF_PRUNE_REL,
-    LOWER,
-    UPPER,
-    DirichletCoefficients,
-    logderiv_coeffs_symbolic,
-)
-# find_zeros is not called here: perfbench/spans.py wraps it by this name
+from .growth import growth_profile, radii_reached, sweep_coefficients
+from .logderiv import COEFF_PRUNE_REL, DirichletCoefficients
+# logderiv_coeffs_symbolic and find_zeros are not called here:
+# perfbench/spans.py wraps them by these names
+from .logderiv import logderiv_coeffs_symbolic  # noqa: F401
 from .zeros import AtomicMeasure, find_zeros, hankel_pencil  # noqa: F401
 
-#: Re-expanded frequencies carry the reconstruction's error; each counts
-#: as the input frequency this close to it.  Sized for the zero-comb route
-#: (3e-9 for 5-fold factors); factors read from the coefficients err by
-#: about 1e-15.
-REEXPANSION_REACH = 1e-7
 #: Float rounding, relative to the modulus, of a coefficient and, per unit
 #: of harmonic index, of each harmonic subtracted from it: noise beyond the
 #: rounding bound of the coefficient solve.
@@ -327,11 +318,11 @@ def profile_radii(p: ExpPolynomial) -> tuple[float, ...]:
 
 def _coefficient_discrepancy(p: ExpPolynomial, q: ExpPolynomial) -> float:
     """Max |coefficient difference| over the union of frequencies, each of
-    ``q`` counted at the frequency of ``p`` within REEXPANSION_REACH of it,
+    ``q`` counted at the frequency of ``p`` within the resolution of it,
     relative to the largest coefficient of ``p``."""
     wp = np.array([w for w, _ in p.terms])
     wq = np.array([w for w, _ in q.terms])
-    near = freq.lookup(wp, wq, REEXPANSION_REACH)
+    near = freq.lookup(wp, wq)
     _, diff = freq.merge(np.concatenate([wp, np.where(near >= 0, wp[near], wq)]),
                          [c for _, c in p.terms] + [-c for _, c in q.terms])
     return max(map(abs, diff)) / max(abs(c) for _, c in p.terms)
@@ -341,10 +332,11 @@ def factor(p: ExpPolynomial, config: FactorConfig = FactorConfig()) -> FactorOut
     """Decide whether ``p`` is a finite sine product and reconstruct it.
 
     Stages: Dirichlet coefficients on both half-planes, the upper one up to
-    at least 2D; growth profile (superlinear, a proof => not a sine
-    product); the factors read from the upper coefficients, and the
-    mandatory re-expansion check (any failure, a proof => not a sine
-    product, stage "fourier").  Other stage errors raise StageError.
+    at least 2D, from one sweep that ends early where they break a growth
+    bound; growth profile (superlinear, a proof => not a sine product); the
+    factors read from the upper coefficients, and the mandatory
+    re-expansion check (any failure, a proof => not a sine product, stage
+    "fourier").  Other stage errors raise StageError.
     """
     if p.n_terms == 0:
         raise PreconditionError("empty polynomial")
@@ -359,13 +351,13 @@ def factor(p: ExpPolynomial, config: FactorConfig = FactorConfig()) -> FactorOut
     width = p.freq_max - p.freq_min
 
     try:
-        upper = logderiv_coeffs_symbolic(p, UPPER, max(gamma_max, 2.0 * width))
-        lower = logderiv_coeffs_symbolic(p, LOWER, gamma_max)
+        upper, lower = sweep_coefficients(p, gamma_max, 2.0 * width)
     except SinecombError as exc:
         raise StageError("logderiv", exc) from exc
 
     try:
-        report = growth_profile(upper, lower, radii)
+        report = growth_profile(upper, lower,
+                                radii_reached(radii, gamma_max, upper, lower))
     except SinecombError as exc:
         raise StageError("criterion", exc) from exc
     if report.classification == "superlinear":

@@ -2,8 +2,7 @@
 
 Every place that merges or matches frequencies (polynomial terms, the gap
 semigroup, Dirichlet coefficients, Fourier atoms, re-expansion checks)
-decides it through these functions, so all decide it the same way; only
-the re-expansion check passes :func:`lookup` a wider ``reach``.
+decides it through these functions, so all decide it the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +16,9 @@ def run_starts(sorted_freqs: np.ndarray, before: float) -> np.ndarray:
     """Mask of the entries more than RESOLUTION above their predecessor
     (``before`` for the first): the smallest member of each run of sorted
     frequencies chained at most RESOLUTION apart."""
-    return sorted_freqs - np.concatenate(([before], sorted_freqs[:-1])) > RESOLUTION
+    prev = np.empty_like(sorted_freqs)
+    prev[:1], prev[1:] = before, sorted_freqs[:-1]
+    return sorted_freqs - prev > RESOLUTION
 
 
 def resolved(sorted_freqs) -> bool:
@@ -40,14 +41,13 @@ def merge(freqs, values) -> tuple[list[float], list[complex]]:
     return [r[0] for r in runs], [r[1] for r in runs]
 
 
-def lookup(sorted_freqs: np.ndarray, targets,
-           reach: float = RESOLUTION) -> np.ndarray:
+def lookup(sorted_freqs: np.ndarray, targets) -> np.ndarray:
     """Index of the frequency nearest each target, or -1 where none lies
-    within ``reach`` (ties go to the larger frequency)."""
+    within RESOLUTION (ties go to the larger frequency)."""
     targets = np.asarray(targets, dtype=float)
     if not len(sorted_freqs):
         return np.full(targets.shape, -1)
     hi = np.minimum(np.searchsorted(sorted_freqs, targets), len(sorted_freqs) - 1)
     lo = np.maximum(hi - 1, 0)
     near = np.where(targets - sorted_freqs[lo] < sorted_freqs[hi] - targets, lo, hi)
-    return np.where(np.abs(sorted_freqs[near] - targets) <= reach, near, -1)
+    return np.where(np.abs(sorted_freqs[near] - targets) <= RESOLUTION, near, -1)

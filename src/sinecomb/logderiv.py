@@ -7,11 +7,10 @@ positive spectrum.  Then
     p'/p = 2*pi*i*omega0 + g' * sum_{m>=0} (-g)^m,
 
 a series on the additive semigroup generated by the frequency gaps.
-Because every generator is positive, truncating at ``gamma_max`` after each
-product is exact for the collected coefficients, and the iteration
-terminates once (m+1) * min_gap exceeds ``gamma_max``.  The lower half-plane
-is the mirror image with the highest frequency factored out; it is computed
-by reflecting z -> -z and reusing the upper-half code.
+Every generator is positive, so one sweep in increasing gamma builds the
+semigroup and solves each coefficient exactly from those below it
+(:class:`CoefficientSweep`), unless it passes SUPPORT_CAP entries or the
+double range first (CapacityError).  The lower half-plane is p(-z)'s upper.
 
 Numeric coefficients come from Bohr means
 ``exp(2*pi*gamma*y) * (1/2T) * integral_{-T}^{T} (p'/p)(x+iy) e^{-2*pi*i*gamma*x} dx``
@@ -101,158 +100,169 @@ class DirichletCoefficients:
 
 
 def _weighted_l1(gammas, coeffs, y: float) -> float:
-    if len(gammas) == 0:
-        return 0.0
-    return float(np.sum(np.abs(coeffs) * np.exp(-TWO_PI * np.asarray(gammas) * y)))
+    return float((np.abs(coeffs) * np.exp(-TWO_PI * np.asarray(gammas) * y)).sum())
 
 
 def _validity_height(gammas, coeffs) -> float:
     """Smallest y with the weighted l1 norm of g at most 1/2."""
+    rate, size = -TWO_PI * np.asarray(gammas), np.abs(coeffs)
+
+    def above(y: float) -> bool:  # _weighted_l1(gammas, coeffs, y) > 0.5
+        return float((size * np.exp(rate * y)).sum()) > 0.5
+
     lo, hi = 0.0, 1.0
-    while _weighted_l1(gammas, coeffs, lo) <= 0.5:
-        hi = lo
-        lo -= max(1.0, abs(lo))
+    while not above(lo):
+        hi, lo = lo, lo - max(1.0, abs(lo))
         if lo < -1e6:
             return lo
-    while _weighted_l1(gammas, coeffs, hi) > 0.5:
-        lo = hi
-        hi += max(1.0, hi)
+    while above(hi):
+        lo, hi = hi, hi + max(1.0, hi)
         if hi > 1e6:
             raise PreconditionError("no finite validity height")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _weighted_l1(gammas, coeffs, mid) > 0.5:
-            lo = mid
-        else:
-            hi = mid
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until no double lies between
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
     return hi
 
 
-def _add_multiples(support: np.ndarray, d: float, gamma_max: float,
-                   cap: int) -> np.ndarray:
-    """``support`` closed under adding d: the run starts of the sorted sums
-    s + k*d up to gamma_max (plus half the resolution), s in ``support``.
+class CoefficientSweep:
+    """The coefficients of one half-plane (of p(-z) for the lower one), up
+    to ``cap``: p'/p = 2 pi i omega0 + u, where u = g' - u*g is solved by
+    forward substitution, u[e] = g'[e] - sum_j c_j u[e - d_j], exactly, with
+    errors fed forward once; v = -g - v*g = 1/(1 + g) - 1 carries each
+    step's rounding on.  Every entry e > 0 of the gap semigroup is s + d_j
+    for an entry s below it, 0 included.  A block's entries are the runs
+    (freq.run_starts) of the sums s + d_j in [lo, lo + d_min), lo the least
+    sum not taken, that start by lo + d_min - 2 RESOLUTION; a run's sums are
+    its sources, one a gap, all below lo and solved."""
 
-    The sums are swept in windows m*d wide, in increasing order.  In each,
-    every s meets at most m + 1 multiples of d, so no array outgrows a few
-    times ``cap``; and the runs of the windows already swept are final, so
-    the count stops once it passes ``cap``.
-    """
-    limit = gamma_max + 0.5 * freq.RESOLUTION
-    n = math.floor(limit / d) + 1
-    m = max(1, min(n, cap // len(support)))
-    runs, n_runs, last, j = [], 0, -math.inf, 0
-    while d * (m * j) <= limit:
-        lo, hi = d * (m * j), d * (m * (j + 1))
-        # first k with s + k*d >= lo, less one for rounding, and m + 2 more
-        k = (np.maximum(np.floor((lo - support) / d), 0.0)[:, None]
-             + np.arange(-1.0, m + 2.0))
-        sums = support[:, None] + d * k
-        sums = np.sort(sums[(k >= 0) & (k < n) & (sums >= lo) & (sums < hi)
-                            & (sums <= limit)])
-        runs.append(sums[freq.run_starts(sums, last)])
-        n_runs += len(runs[-1])
-        if n_runs > cap:
-            raise CapacityError(
-                f"gap-semigroup support exceeded {cap} entries below "
-                f"gamma_max={gamma_max:.6g}; reduce gamma_max")
-        last = sums[-1] if len(sums) else last
-        j += 1
-    return np.concatenate(runs)
+    def __init__(self, p: ExpPolynomial, halfplane: str, cap: float):
+        if p.n_terms == 0:
+            raise EmptyPolynomialError("zero function has no logarithmic derivative")
+        if cap <= 0:
+            raise PreconditionError("gamma_max must be positive")
+        self.halfplane, self.cap = halfplane, cap
+        self.sign = 1.0 if halfplane == UPPER else -1.0
+        if halfplane == LOWER:
+            p = ExpPolynomial.from_terms((-w, q) for w, q in p.terms)
+        omega0, q0 = p.terms[0]
+        self.h0 = 1j * TWO_PI * omega0
+        self.d = np.array([w - omega0 for w, _ in p.terms[1:]])
+        self.c = np.array([q / q0 for _, q in p.terms[1:]])
+        self.gp = (1j * TWO_PI) * self.d * self.c
+        self.d_min = float(self.d[0]) if len(self.d) else math.inf
+        self.y_v = _validity_height(self.d, self.c) if len(self.d) else -math.inf
+        self._rows, self._edges = np.arange(len(self.d))[:, None], np.empty((2, 1))
+        self._d_col, self._c_col = self.d[:, None], self.c[:, None]
+        # entries (0 first), the largest sum taken, the least not taken, the
+        # gaps whose own entry has its g' and -g, and how far all is solved
+        self.n, self.front, self.lo, self._seeded, self.reach = 1, 0.0, self.d_min, 0, 0.0
+        self.gam, (self.uv, self.rhs) = np.zeros(1), np.zeros((2, 2, 1), dtype=complex)
+        self._resize(1024)
 
+    def _resize(self, size: int) -> None:  # entries past n read inf
+        n, gam = self.n, np.full(size, np.inf)
+        uv, rhs = np.zeros((2, 2, size), dtype=complex)
+        gam[:n], uv[:, :n], rhs[:, :n] = self.gam[:n], self.uv[:, :n], self.rhs[:, :n]
+        self.gam, self.uv, self.rhs, self._steps = gam, uv, rhs, np.arange(size)
 
-def _semigroup_support(gaps: np.ndarray, gamma_max: float,
-                       cap: int = SUPPORT_CAP) -> np.ndarray:
-    """Sorted positive elements of the additive semigroup generated by the
-    gaps, truncated at gamma_max, merged at the frequency resolution.
+    def _block(self) -> None:
+        n, d, lo = self.n, self.d, self.lo
+        top = lo + self.d_min
+        # each gap's sources of sums in (front, top) and of its first sum
+        # past top, padded to one width by later entries; the sums at most
+        # half the resolution below front are taken, and chain to it
+        edges = self._edges
+        edges[0, 0], edges[1, 0] = self.front - 0.5 * freq.RESOLUTION, top
+        k, e = self.gam.searchsorted(edges - d)
+        src = k[:, None] + self._steps[:max((e - k).tolist()) + 1]
+        sums = self.gam[src] + self._d_col
+        ordered = sums.flatten()
+        ordered.sort()
+        firsts = freq.run_starts(ordered, self.front).nonzero()[0]
+        starts = ordered[firsts]
+        # at least the entry at lo, whose sources all lie d_min below it
+        end = min(max(top - 2.0 * freq.RESOLUTION, lo), self.cap + 0.5 * freq.RESOLUTION)
+        nb = int(starts.searchsorted(end, side="right"))
+        if 2 * (n + nb) + 2 > len(self.gam):
+            self._resize(max(2 * len(self.gam), 2 * (n + nb) + 2))
+        # run t's sums give entry n + t - 1 one source per gap (columns 0 and
+        # past nb are not read; a source left 0 reads entry 0's zeros)
+        idx = np.zeros((len(d), len(starts) + 1), dtype=np.intp)
+        idx[self._rows, starts.searchsorted(sums, side="right")] = src
+        past = float(starts[nb]) if nb < len(starts) else math.inf  # least not taken
+        if self._seeded < len(d) and d[self._seeded] < past:  # sums 0 + d_j taken
+            j = slice(self._seeded, int(d.searchsorted(past)))
+            entry = n - 1 + starts.searchsorted(d[j], side="right")
+            np.add.at(self.rhs, (slice(None), entry), [self.gp[j], -self.c[j]])
+            self._seeded = j.stop
+        block = slice(n, n + nb)
+        self.uv[:, block] = self.rhs[:, block] - np.add.reduce(
+            self._c_col * self.uv[:, idx[:, 1:nb + 1]], axis=1)
+        self.gam[block], self.n = starts[:nb], n + nb
+        taken = firsts[nb] if nb < len(firsts) else len(ordered)
+        self.front = float(ordered[taken - 1]) if taken else self.front
+        # a sum of the new entries is at least the least of them plus d_min
+        self.lo = min(past, float(starts[0]) + self.d_min) if nb else past
 
-    Gaps already in the support are skipped: closing over a minimal
-    generating set reaches the same support far cheaper.
-    """
-    support = np.array([0.0])
-    for d in np.sort(gaps):
-        if freq.lookup(support, d) < 0:
-            support = _add_multiples(support, d, gamma_max, cap)
-    return support[1:]
+    def advance(self, gamma: float) -> None:
+        """Solve the entries up to ``gamma`` (the cap at most).  ``reach`` is
+        then ``gamma``, or, with a CapacityError raised, the last entry
+        solved, finite and within SUPPORT_CAP (none is solved past the last
+        reach where the multiples of d_min alone pass SUPPORT_CAP)."""
+        gamma = min(gamma, self.cap)
+        limit = gamma + 0.5 * freq.RESOLUTION
+        many = gamma / self.d_min > SUPPORT_CAP + 1
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            while not many and self.lo <= limit and self.n <= SUPPORT_CAP + 1:
+                self._block()
+        m = int(self.gam.searchsorted(limit, side="right"))
+        full = many or m > SUPPORT_CAP + 1
+        bad = np.flatnonzero(~np.isfinite(self.uv[0, :min(m, SUPPORT_CAP + 1)]))
+        self.reach = gamma
+        if full or len(bad):
+            self.reach = float(self.gam[min(m, SUPPORT_CAP + 1, *bad[:1]) - 1])
+            what = (f"gap-semigroup support exceeded {SUPPORT_CAP} entries" if full
+                    else "coefficients leave the double range")
+            raise CapacityError(f"{what} below gamma_max={gamma:.6g}; reduce gamma_max")
 
+    def stored(self, gamma: float):
+        """(|gamma|, h, rounding bounds, h at gamma 0) of the stored
+        coefficients up to ``gamma``, at most the cap, in increasing |gamma|."""
+        m = int(self.gam.searchsorted(gamma + 0.5 * freq.RESOLUTION, side="right"))
+        h = self.uv[0, :m] * self.sign
+        h[0] = self.sign * self.h0
+        size = np.abs(h)
+        keep = size > COEFF_PRUNE_REL * float(size.max())
+        # error_k = sum_i (1 + v)_(k-i) delta_i to first order, where step i
+        # errs by at most 2 n eps (|g'_i| + sum_j |c_j u_(i-j)|), the input's
+        # own rounding included.  Weights exp(-2 pi y gamma) factor over
+        # these sums; y = 0 suits slow growth (multiple zeros), y = y_v fast:
+        # the lesser holds.
+        support, g_abs = self.gam[1:m], np.abs(self.rhs[0, 1:m])
+        v_abs, err = np.abs(self.uv[1, 1:m]), np.inf
+        with np.errstate(all="ignore"):  # a weight out of range: inf, nan
+            for y in (0.0, self.y_v):
+                w = np.exp(-TWO_PI * y * support)
+                step = (np.maximum.accumulate(g_abs * w)
+                        + _weighted_l1(self.d, self.c, y)
+                        * np.maximum.accumulate(size[1:] * w))
+                err = np.fmin(err, step / w * (1.0 + np.cumsum(v_abs * w)))
+        err = np.concatenate([[0.0], err * (2 * (len(self.d) + 1) * 2.0 ** -52)])[keep]
+        return self.gam[:m][keep], h[keep], err, h[0] if keep[0] else 0j
 
-def _coeffs_upper(p: ExpPolynomial, gamma_max: float) -> DirichletCoefficients:
-    omega0, q0 = p.terms[0]
-    if p.n_terms == 1:  # p'/p is the constant 2*pi*i*omega0
-        pairs = ((0.0, 1j * TWO_PI * omega0),) if omega0 else ()
-        return DirichletCoefficients(UPPER, pairs, gamma_max, 0.0, -math.inf)
-    g_gam = np.array([w - omega0 for w, _ in p.terms[1:]])
-    g_cof = np.array([q / q0 for _, q in p.terms[1:]])
-    gp_cof = (1j * TWO_PI) * g_gam * g_cof
-
-    y_v = _validity_height(g_gam, g_cof)
-    r = min(_weighted_l1(g_gam, g_cof, y_v), 0.5 + 1e-12)
-    gp_norm = _weighted_l1(g_gam, gp_cof, y_v)
-
-    # Solve u = g' - u*g by forward substitution over the gap semigroup:
-    # u[gamma] = g'[gamma] - sum_j c_j * u[gamma - gap_j].  Every collected
-    # coefficient is exact (no order truncation), and errors feed forward
-    # once instead of through an alternating series, which keeps the
-    # computation well conditioned at large expansion depths.  v = -g - v*g,
-    # solved alongside, is 1/(1 + g) - 1: it carries each step's rounding on.
-    support = _semigroup_support(g_gam, gamma_max)
-    # rows u and v, and a last column of zeros that index -1 reads
-    uv, rhs = np.zeros((2, 2, len(support) + 1), dtype=complex)
-    gp_idx = freq.lookup(support, g_gam)
-    in_range = gp_idx >= 0  # gaps beyond gamma_max fall outside the support
-    np.add.at(rhs[0], gp_idx[in_range], gp_cof[in_range])
-    np.add.at(rhs[1], gp_idx[in_range], -g_cof[in_range])
-
-    d_min = float(g_gam.min())
-    start = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        while start < len(support):
-            # every target lies d_min or more below its entry, so a block
-            # this narrow reads only entries solved before it
-            end = int(np.searchsorted(
-                support, support[start] + d_min - 2.0 * freq.RESOLUTION,
-                side="right"))
-            end = max(end, start + 1)
-            block = slice(start, end)
-            idx = freq.lookup(support, support[block][None, :] - g_gam[:, None])
-            terms = g_cof[:, None] * uv[:, idx]
-            uv[:, block] = rhs[:, block] - terms.sum(axis=1)
-            start = end
-    (u, v), rhs = uv[:, :-1], rhs[:, :-1]
-    if not np.isfinite(u).all():
-        raise CapacityError(f"coefficients leave the double range below "
-                            f"gamma_max={gamma_max:.6g}; reduce gamma_max")
-    # error_k = sum_i (1 + v)_(k-i) delta_i to first order, where step i errs
-    # by at most 2 n eps (|g'_i| + sum_j |c_j u_(i-j)|), the input's own
-    # rounding included.  Weights exp(-2 pi y gamma) factor over these sums;
-    # y = 0 suits slow growth (multiple zeros), y = y_v fast: the lesser holds.
-    rounding = np.inf
-    with np.errstate(all="ignore"):  # a weight out of range gives inf or nan
-        for y in (0.0, y_v):
-            w = np.exp(-TWO_PI * y * support)
-            step = (np.maximum.accumulate(np.abs(rhs[0]) * w)
-                    + _weighted_l1(g_gam, g_cof, y)
-                    * np.maximum.accumulate(np.abs(u) * w))
-            rounding = np.fmin(rounding, step / w
-                               * (1.0 + np.cumsum(np.abs(v) * w)))
-    rounding *= 2 * p.n_terms * 2.0 ** -52
-
-    gammas = np.concatenate([[0.0], support])
-    coeffs = np.concatenate([[1j * TWO_PI * omega0], u])
-    scale = float(np.abs(coeffs).max())
-    keep = np.abs(coeffs) > COEFF_PRUNE_REL * scale
-    pairs = tuple((float(g), complex(c))
-                  for g, c in zip(gammas[keep], coeffs[keep]))
-    rounding = tuple(np.concatenate([[0.0], rounding])[keep].tolist())
-    # any term of the series with frequency > gamma_max involves at least
-    # ceil(gamma_max / max_gap) factors of g, so the tail is geometric
-    m_min = max(0, math.ceil(gamma_max / float(g_gam.max())) - 1)
-    tail = gp_norm * r ** m_min / (1.0 - r)
-    return DirichletCoefficients(UPPER, pairs, gamma_max, tail, y_v, rounding)
-
-
-def _reflect_poly(p: ExpPolynomial) -> ExpPolynomial:
-    return ExpPolynomial.from_terms((-w, q) for w, q in p.terms)
+    def coefficients(self, gamma: float) -> DirichletCoefficients:
+        """The stored coefficients up to ``gamma``, at most the cap."""
+        gammas, coeffs, rounding, _ = self.stored(gamma)
+        if self.halfplane == LOWER:
+            gammas, coeffs, rounding = -gammas[::-1] + 0.0, coeffs[::-1], rounding[::-1]
+        # any term of the series with frequency > gamma involves at least
+        # ceil(gamma / max_gap) factors of g, so the tail is geometric
+        r = min(_weighted_l1(self.d, self.c, self.y_v), 0.5 + 1e-12)
+        m_min = max(0, math.ceil(gamma / float(self.d[-1] if len(self.d) else math.inf)) - 1)
+        tail = _weighted_l1(self.d, self.gp, self.y_v) * r ** m_min / (1.0 - r)
+        return DirichletCoefficients(
+            self.halfplane, tuple(zip(gammas.tolist(), coeffs.tolist())),
+            gamma, tail, self.sign * self.y_v, tuple(rounding.tolist()))
 
 
 def logderiv_coeffs_symbolic(p: ExpPolynomial, halfplane: str,
@@ -265,23 +275,12 @@ def logderiv_coeffs_symbolic(p: ExpPolynomial, halfplane: str,
     Raises
     ------
     CapacityError
-        If the enumerated support exceeds the configured cap.
+        If the enumerated support exceeds SUPPORT_CAP entries, or a
+        coefficient leaves the double range.
     """
-    if p.n_terms == 0:
-        raise EmptyPolynomialError("zero function has no logarithmic derivative")
-    if gamma_max <= 0:
-        raise PreconditionError("gamma_max must be positive")
-    if halfplane == UPPER:
-        return _coeffs_upper(p, gamma_max)
-    if halfplane != LOWER:
-        raise ValueError("halfplane must be 'upper' or 'lower'")
-    # (p'/p)(w) = -(F'/F)(-w) with F(z) = p(-z); upper coefficients of F at
-    # gamma become lower coefficients of p at -gamma with flipped sign.
-    upper = _coeffs_upper(_reflect_poly(p), gamma_max)
-    pairs = tuple((-g + 0.0, -h) for g, h in reversed(upper.coeffs))
-    return DirichletCoefficients(LOWER, pairs, gamma_max, upper.tail_bound,
-                                 -upper.validity_height,
-                                 upper.rounding[::-1])
+    sweep = CoefficientSweep(p, halfplane, gamma_max)
+    sweep.advance(gamma_max)
+    return sweep.coefficients(gamma_max)
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1

@@ -124,11 +124,14 @@ class TestFactorCommand:
         assert set(report) == {"verdict", "reason", "stage",
                                "reconstruction_error"}
 
-    def test_three_radii_config_exit_5(self, sin_file, tmp_path, capsys):
+    def test_three_radii_config_accepted(self, sin_file, tmp_path, capsys):
+        # any nonempty increasing radii will do; none is a configuration error
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"radii": [2, 4, 8]}')
-        code = main(["factor", "--input", sin_file, "--config", str(cfg)])
-        assert code == 5
+        assert main(["factor", "--input", sin_file, "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "sine_product"
+        cfg.write_text('{"radii": []}')
+        assert main(["factor", "--input", sin_file, "--config", str(cfg)]) == 5
         assert "configuration error" in capsys.readouterr().err
 
 
@@ -164,14 +167,27 @@ class TestOtherCommands:
 
     def test_criterion_below_gamma_max_8(self, tmp_path, capsys):
         # default radii gamma_max/8 .. gamma_max, all below 1 but the last:
-        # the 12-term input breaks the bounds at gamma_max 2 already
+        # the 12-term input breaks the bounds below gamma_max 2 already, and
+        # the report ends where the sweep stopped
         f = tmp_path / "twelve.json"
         f.write_text(json.dumps({"terms": [
             {"omega": w, "coeff": [q.real, q.imag]} for w, q in twelve_terms().terms]}))
         assert main(["criterion", "--input", str(f), "--gamma-max", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["radii"] == [0.25, 0.5, 1, 2]
+        assert report["radii"][:3] == [0.25, 0.5, 1] and 1 < report["radii"][3] < 2
         assert report["classification"] == "superlinear"
+
+    def test_criterion_on_twelve_terms_at_default_gamma_max(self, tmp_path,
+                                                            capsys):
+        # its support passes the cap below gamma_max 16, its first breach
+        # lies below 2
+        f = tmp_path / "twelve.json"
+        f.write_text(json.dumps({"terms": [
+            {"omega": w, "coeff": [q.real, q.imag]} for w, q in twelve_terms().terms]}))
+        assert main(["criterion", "--input", str(f)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["classification"] == "superlinear" and report["K"] is None
+        assert len(report["radii"]) == 1 and report["radii"][0] < 2
 
     def test_logderiv(self, sin_file, capsys):
         assert main(["logderiv", "--input", sin_file,

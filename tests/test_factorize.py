@@ -326,7 +326,10 @@ class TestFactor:
         out = factor(expand_sine_product(s),
                      FactorConfig(window=(-11.9017, 11.9017)))
         assert out.verdict == "sine_product"
-        assert out.diagnostics["growth"].fit_exponent > 1.1
+        report = out.diagnostics["growth"]
+        top = len(report.radii) // 2
+        slope = np.polyfit(np.log(report.radii[top:]), np.log(report.values[top:]), 1)[0]
+        assert slope > 1.1 and report.classification == "linear"
         assert_products_close(out.result.product, s, tol=1e-6)
 
     def test_no_zero_search(self, monkeypatch, two_lattice_product):
