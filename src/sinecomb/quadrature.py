@@ -54,7 +54,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_segment(f, a: complex | np.ndarray, b: complex | np.ndarray,
-                      abs_tol: float, max_panels: int = 8000
+                      abs_tol: float, max_panels: int = 8000,
+                      errors: np.ndarray | None = None
                       ) -> tuple[complex | np.ndarray, float]:
     """Integrate ``f`` along the straight segments from ``a`` to ``b``.
 
@@ -76,10 +77,12 @@ def integrate_segment(f, a: complex | np.ndarray, b: complex | np.ndarray,
     Returns (values, error estimate).  The values have a last axis of S
     segments, preceded by K for K rows, and drop it for scalar ends; the
     error is one float, the sum of the segments' estimates, which bounds
-    the error of every row.  Zero-length segments integrate to 0, and
-    ``f`` sees none of their nodes.  One call of ``f`` takes the 15 nodes
-    of each panel of a batch of panels of any segments, at most
-    16 * BATCH_PANELS nodes, which bounds the memory of one call.
+    the error of every row; an ``errors`` array of S floats receives each
+    segment's own estimate.  Zero-length segments integrate to 0, and ``f``
+    sees none of their nodes.  One call of ``f`` takes the 15 nodes of each
+    panel of a batch of panels of any segments, at most 16 * BATCH_PANELS
+    nodes, and the nodes of one batch are built for that batch alone, which
+    bounds the memory of one call.
     """
     batch = 16 * BATCH_PANELS // X.size
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
@@ -99,18 +102,18 @@ def integrate_segment(f, a: complex | np.ndarray, b: complex | np.ndarray,
     min_len = 2.0 ** -46
 
     while ta.size:
-        a_p, dz_p = a[seg], dz[seg]
-        # nodes a + dz*t from their real parameters t in [0, 1]: a node's
-        # rounding depends on its t alone, not on a rounded panel centre too
-        t = (ta + half)[:, None] + half * X
-        scale = dz_p * half
         parts = []
         for k in range(0, ta.size, batch):
             s = slice(k, k + batch)
-            fz = np.asarray(f((a_p[s, None] + dz_p[s, None] * t[s]).ravel()))
+            i = seg[s]
+            # nodes a + dz*t from their real parameters t in [0, 1]: a node's
+            # rounding depends on its t alone, not on a rounded panel centre too
+            t = (ta[s] + half)[:, None] + half * X
+            fz = np.asarray(f((a[i, None] + dz[i, None] * t).ravel()))
             vector = fz.ndim == 2
-            parts.append((fz.reshape(-1, X.size) @ W).reshape(-1, len(t[s]), 2))
-        sums = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)) * scale[:, None]
+            parts.append((fz.reshape(-1, X.size) @ W).reshape(-1, len(t), 2))
+        sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        sums = sums * (dz[seg] * half)[:, None]
         value = sums[..., 0]
         err = np.abs(value - sums[..., 1]).max(axis=0)
         done = (err <= abs_tol * 2.0 * half) | (2.0 * half <= min_len)
@@ -148,4 +151,6 @@ def integrate_segment(f, a: complex | np.ndarray, b: complex | np.ndarray,
         np.add.at(total, seg, value.T)
         np.add.at(err_seg, seg, err)
     total = total.T if vector else total[:, 0]
+    if errors is not None:
+        errors[:] = err_seg
     return (total[..., 0] if scalar else total), float(err_seg.sum())

@@ -17,11 +17,19 @@ own error estimate decide whether the result stands.
 Splitting.  A cell that fails a gate, or is wider than the zero band and
 holds more than MOMENT_MAX zeros, is split across its longer side
 (vertically if wider than the band) by a line clear of zeros.  Counts come
-from edge integrals of p'/p in one cache: a split costs the split line and
-one half of each cut side, the other half telescoping from the parent's,
-so the total mass returned equals the top-level count by construction.  A
-cell below the rounding-noise radius of an n-fold zero is one n-fold atom;
-a cell that no clear line splits raises QuadratureFailureError.
+from edge integrals of p'/p in one cache, each with its error estimate, and
+a winding number is accepted only once it lies within WINDING_ACCEPT of an
+integer together with the error.  The cell tree is walked level by level:
+the split lines and first-half cut sides of all of a level's splits are
+integrated in one quadrature pass.  The rectangle's top and bottom are
+integrated once, as 2^K pieces of at most MOMENT_MAX / 2 zeros each, cut
+at the midpoints that repeated splits at the middle cut them at; a cut
+side whose ends are grid points is a difference of the pieces' prefix
+sums.  Any other cut side costs the first half's piece, the other half
+telescoping from the parent's, so the total mass returned equals the
+top-level count by construction.  A cell below the rounding-noise radius
+of an n-fold zero is one n-fold atom; a cell that no clear line splits
+raises QuadratureFailureError.
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ from .quadrature import integrate_segment
 CLUSTER_TOL = 1e-7
 #: min sampled |p| on a contour must exceed this times the max term magnitude.
 BOUNDARY_SAFETY_REL = 1e-8
-#: Winding numbers are accepted once within this distance of an integer.
+#: Winding numbers are accepted once within this distance of an integer,
+#: their sides' error estimates over 2*pi included.
 WINDING_ACCEPT = 1e-3
 #: Absolute tolerance of one cached edge integral of p'/p.
 EDGE_TOL = 2e-6
@@ -289,9 +298,27 @@ def _newton_refine(p: ExpPolynomial, z0: complex, tol: float,
     return z, False
 
 
+def _piece_grid(rect: Rect, density: float) -> list[float]:
+    """The 2^K + 1 ends of the pieces of the rectangle's top and bottom,
+    for the least K that makes a piece hold at most MOMENT_MAX / 2 zeros
+    at ``density`` zeros per unit length; empty if K < 2.  The ends are
+    the midpoints of repeated splits at the middle, computed as _pick_line
+    computes them, so the cut sides of such splits end on grid points."""
+    depth = 0
+    while rect.width * density / 2.0 ** depth > MOMENT_MAX / 2:
+        depth += 1
+    if depth < 2:
+        return []
+    grid = np.array([rect.x_min, rect.x_max])
+    for _ in range(depth):
+        mid = grid[:-1] + 0.5 * (grid[1:] - grid[:-1])
+        grid = np.insert(grid, np.arange(1, grid.size), mid)
+    return grid.tolist()
+
+
 class _Search:
-    """One find_zeros invocation: the edge cache, p's derivatives and the
-    Newton tolerance."""
+    """One find_zeros invocation: the edge cache, the piece grid of the
+    rectangle's top and bottom, p's derivatives and the Newton tolerance."""
 
     def __init__(self, p: ExpPolynomial, rect: Rect, tol: float):
         self.p = p
@@ -303,9 +330,17 @@ class _Search:
         #: zero band, which a horizontal line cuts little of
         self.slab_floor = max(0.75 * (band if band > 0 else rect.height),
                               8.0 * CLUSTER_TOL)
-        #: edge integrals of p'/p, keyed by (start, end)
-        self.edge_cache: dict[tuple[complex, complex], complex] = {}
+        #: edge integrals of p'/p and their error estimates, keyed by
+        #: (start, end)
+        self.edge_cache: dict[tuple[complex, complex], tuple[complex, float]] = {}
         self.derivatives = [p]
+        #: the piece grid of the top and the bottom (empty if under 4 pieces)
+        self.grid_x = _piece_grid(rect, p.freq_max - p.freq_min)
+        self.grid_index = {x: k for k, x in enumerate(self.grid_x)}
+        self.grid_rows = {rect.y_min: 0, rect.y_max: 1}
+        #: prefix sums of the pieces' integrals and errors, one row each for
+        #: the bottom and the top, integrated when a grid side is first asked
+        self.prefix: tuple[np.ndarray, np.ndarray] | None = None
 
     def _derivative(self, k: int) -> ExpPolynomial:
         """p^(k), built once per search."""
@@ -315,17 +350,50 @@ class _Search:
 
     # -- counting on cached sides -------------------------------------------
 
+    def _integrate(self, ends: list[tuple[complex, complex]],
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Integrals of p'/p along the segments ``ends`` in one quadrature
+        pass, and each one's error estimate."""
+        a, b = np.array(ends).T
+        errors = np.empty(len(ends))
+        values = integrate_segment(self.p.log_ratio, a, b, tol, errors=errors)[0]
+        return values, errors
+
+    def _from_grid(self, side: tuple[complex, complex]) -> bool:
+        """Cache a horizontal side of the rectangle's top or bottom whose
+        ends are grid points, as a difference of the pieces' prefix sums
+        carrying the pieces' summed error; False for any other side."""
+        a, b = side
+        row = self.grid_rows.get(a.imag) if a.imag == b.imag else None
+        i, j = self.grid_index.get(a.real), self.grid_index.get(b.real)
+        if row is None or i is None or j is None:
+            return False
+        if self.prefix is None:
+            n = len(self.grid_x) - 1
+            pieces = [(complex(x0, y), complex(x1, y)) for y in self.grid_rows
+                      for x0, x1 in zip(self.grid_x[:-1], self.grid_x[1:])]
+            self.prefix = tuple(
+                np.cumsum(np.hstack([np.zeros((2, 1)), v.reshape(2, n)]), axis=1)
+                for v in self._integrate(pieces, EDGE_TOL / n))
+        values, errors = self.prefix
+        self.edge_cache[side] = (complex(values[row, j] - values[row, i]),
+                                 float(errors[row, j] - errors[row, i]))
+        return True
+
     def _edges(self, ends: list[tuple[complex, complex]],
-               tol: float | None = None) -> list[complex]:
-        """Integrals of p'/p along the (start, end) segments ``ends``.  Those
-        not cached are integrated in one quadrature pass at EDGE_TOL; a
-        ``tol`` integrates all of them again at that tolerance."""
-        todo = [e for e in ends if tol is not None or e not in self.edge_cache]
+               tol: float | None = None) -> list[tuple[complex, float]]:
+        """Integrals of p'/p along the (start, end) segments ``ends``, with
+        their error estimates.  Sides on the grid come from its prefix sums;
+        the others not cached are integrated in one quadrature pass at
+        EDGE_TOL.  A ``tol`` integrates all of them again at that tolerance."""
+        if tol is None:
+            todo = [e for e in dict.fromkeys(ends)
+                    if e not in self.edge_cache and not self._from_grid(e)]
+        else:
+            todo = list(dict.fromkeys(ends))
         if todo:
-            a, b = np.array(todo).T
-            values = integrate_segment(self.p.log_ratio, a, b,
-                                       EDGE_TOL if tol is None else tol)[0]
-            self.edge_cache.update(zip(todo, values.tolist()))
+            values, errors = self._integrate(todo, EDGE_TOL if tol is None else tol)
+            self.edge_cache.update(zip(todo, zip(values.tolist(), errors.tolist())))
         return [self.edge_cache[e] for e in ends]
 
     @staticmethod
@@ -338,15 +406,19 @@ class _Search:
                 (complex(x0, y1), complex(x1, y1)), (complex(x0, y0), complex(x0, y1))]
 
     def count(self, rect: Rect) -> int:
-        """Winding number of ``rect``; sides that do not settle it are
-        integrated again at tolerances 256, 256^2 and 256^3 times finer."""
+        """Winding number of ``rect``, accepted once it lies within
+        WINDING_ACCEPT of an integer together with its sides' error
+        estimates over 2*pi; sides that do not settle it are integrated again
+        at tolerances 256, 256^2 and 256^3 times finer."""
         for escalation in range(4):
             if escalation:
                 self._edges(self._sides(rect), EDGE_TOL / 256.0 ** escalation)
-            bottom, right, top, left = self._edges(self._sides(rect))
+            sides = self._edges(self._sides(rect))
+            (bottom, _), (right, _), (top, _), (left, _) = sides
             w = (bottom + right - top - left) / (2j * math.pi)
             n = round(w.real)
-            if abs(w - n) < WINDING_ACCEPT and n >= 0:
+            err = sum(e for _, e in sides) / (2.0 * math.pi)
+            if abs(w - n) + err < WINDING_ACCEPT and n >= 0:
                 return n
         raise QuadratureFailureError(
             f"winding {w:.6g} did not settle below {WINDING_ACCEPT}")
@@ -385,28 +457,31 @@ class _Search:
             return best[0]
         return None
 
-    def _split(self, rect: Rect, n: int) -> list[tuple[Rect, int]] | None:
-        """The halves of ``rect``, which holds ``n`` zeros, across its longer
-        side (vertically if it is wider than slab_floor) on a line clear of
-        zeros, with their counts; None if no line is clear.  The first
-        half's cut sides and the split line are integrated in one pass; the
-        second half's cut sides are the parent's minus the first half's."""
+    def _halves(self, rect: Rect) -> tuple[Rect, Rect] | None:
+        """The halves of ``rect`` across its longer side (vertically if it
+        is wider than slab_floor) on a line clear of zeros, the lower or
+        left one first; None if no line is clear."""
         x0, x1, y0, y1 = rect.x_min, rect.x_max, rect.y_min, rect.y_max
-        vertical = rect.width >= rect.height or rect.width > self.slab_floor
-        if vertical:
+        if rect.width >= rect.height or rect.width > self.slab_floor:
             c = self._pick_line(x0, x1, lambda c: (complex(c, y0), complex(c, y1)))
-        else:
-            c = self._pick_line(y0, y1, lambda c: (complex(x0, c), complex(x1, c)))
-        if c is None:
-            return None
-        first, second = ((Rect(x0, c, y0, y1), Rect(c, x1, y0, y1)) if vertical
-                         else (Rect(x0, x1, y0, c), Rect(x0, x1, c, y1)))
-        cut = (0, 2) if vertical else (1, 3)  # the sides the line cuts
+            return None if c is None else (Rect(x0, c, y0, y1), Rect(c, x1, y0, y1))
+        c = self._pick_line(y0, y1, lambda c: (complex(x0, c), complex(x1, c)))
+        return None if c is None else (Rect(x0, x1, y0, c), Rect(x0, x1, c, y1))
+
+    def _count_halves(self, rect: Rect, n: int, first: Rect,
+                      second: Rect) -> list[tuple[Rect, int]]:
+        """The halves of ``rect``, which holds ``n`` zeros, with their
+        counts.  The first half's sides are cached; the second half's cut
+        sides come from the grid, or else are the parent's minus the first
+        half's, with the two errors summed."""
+        cut = (0, 2) if first.y_max == rect.y_max else (1, 3)  # the sides the line cuts
         pieces = self._edges(self._sides(first))
         whole = self._edges([self._sides(rect)[i] for i in cut])
         rest = self._sides(second)
-        for i, w in zip(cut, whole):
-            self.edge_cache[rest[i]] = w - pieces[i]
+        for i, (w, w_err) in zip(cut, whole):
+            if not self._from_grid(rest[i]):
+                v, v_err = pieces[i]
+                self.edge_cache[rest[i]] = (w - v, w_err + v_err)
         n_first = self.count(first)
         if not 0 <= n_first <= n:
             raise QuadratureFailureError(
@@ -542,26 +617,35 @@ class _Search:
         zeros skips its moments: its zeros spread along the band, so fewer
         than MOMENT_MAX of them are seldom distinct.  A cell below the
         rounding-noise radius of an n-fold zero becomes one n-fold atom,
-        coarse if its polish on p^(n-1) fails."""
-        stack = [(rect, n)]
-        while stack:
-            cell, n = stack.pop()
-            if n == 0:
-                continue
-            wide = n > MOMENT_MAX and cell.width > self.slab_floor
-            if not wide and self.resolve_by_moments(cell, n, atoms):
-                continue
-            if math.hypot(cell.width, cell.height) < max(
-                    CLUSTER_TOL, 2.0 * _noise_radius(n)):
-                z, polished = self._polish_multiple(cell.center, n)
-                atoms.append((z, n, not polished))
-                continue
-            halves = self._split(cell, n)
-            if halves is None:
-                # every candidate line runs through the noise zone of a
-                # multiple zero; double precision cannot separate further
-                raise QuadratureFailureError(f"no clear line splits {cell}")
-            stack += halves
+        coarse if its polish on p^(n-1) fails.
+
+        The cell tree is walked level by level: the new sides of all of a
+        level's splits are integrated in one quadrature pass, and a side's
+        value does not depend on the others in the pass."""
+        level = [(rect, n)]
+        while level:
+            splits = []
+            for cell, n in level:
+                if n == 0:
+                    continue
+                wide = n > MOMENT_MAX and cell.width > self.slab_floor
+                if not wide and self.resolve_by_moments(cell, n, atoms):
+                    continue
+                if math.hypot(cell.width, cell.height) < max(
+                        CLUSTER_TOL, 2.0 * _noise_radius(n)):
+                    z, polished = self._polish_multiple(cell.center, n)
+                    atoms.append((z, n, not polished))
+                    continue
+                halves = self._halves(cell)
+                if halves is None:
+                    # every candidate line runs through the noise zone of a
+                    # multiple zero; double precision cannot separate further
+                    raise QuadratureFailureError(f"no clear line splits {cell}")
+                splits.append((cell, n, *halves))
+            # the new sides of all of the level's splits, in one pass
+            self._edges([side for _, _, first, _ in splits
+                         for side in self._sides(first)])
+            level = [half for split in splits for half in self._count_halves(*split)]
 
 
 def count_zeros(p: ExpPolynomial, rect: Rect) -> int:

@@ -4,6 +4,7 @@ moment stage."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,15 +41,19 @@ def test_integrand_calls_take_whole_panels():
 
 def test_three_factor_search_node_count(monkeypatch):
     # the reference 3-factor product on +-25.3: 102,624 integrand nodes with
-    # the former GL8/GL16 pair of 24 nodes a panel
+    # the former GL8/GL16 pair of 24 nodes a panel, 85,860 nodes in 114
+    # calls with K15 and one call per split; 82,050 nodes in 65 calls with
+    # one call per level of the cell tree and the top and bottom integrated
+    # once
     factors = [(math.pi, 0.0, 1), (math.sqrt(2) * math.pi, 0.3, 1),
                (math.sqrt(3) * math.pi, 1.1, 2)]
     p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, factors))
     strip = zero_strip_estimate(p)
     rect = Rect(-25.3, 25.3, strip.alpha - strip.eta, strip.beta + strip.eta)
-    sizes = []
+    sizes, calls = [], []
 
     def counted(f, *args, **kwargs):
+        calls.append(1)
         return integrate_segment(_counted(f, sizes), *args, **kwargs)
 
     monkeypatch.setattr(sinecomb.zeros, "integrate_segment", counted)
@@ -57,7 +62,8 @@ def test_three_factor_search_node_count(monkeypatch):
         m * sum(abs(k * math.pi - beta) < 25.3 * alpha for k in range(-100, 101))
         for alpha, beta, m in factors)
     assert all(n % X.size == 0 and n <= 16 * BATCH_PANELS for n in sizes)
-    assert sum(sizes) < 90_000
+    assert sum(sizes) < 83_000
+    assert len(calls) <= 70
 
 
 # -- one segment ---------------------------------------------------------------------
@@ -149,6 +155,27 @@ def test_exhausted_segment_does_not_cut_short_a_clean_one():
     exact = cmath.log(b[1] - z0) - cmath.log(a[1] - z0)
     assert abs(values[1] - exact) <= 1e-14
     assert err == near_err + clean_err
+
+
+def test_many_segments_stay_within_a_memory_bound():
+    # 2,000 unit segments, each passing 3e-4 from a pole, refine to 60
+    # panels each in one call; building the nodes of all live panels of a
+    # level at once took 13.5 MB here, one batch at a time takes 7.3 MB
+    n = 2000
+    a = np.arange(n) + 0j
+
+    def f(z):
+        return 1.0 / (z - (np.floor(z.real) + 0.5 + 3e-4j))
+
+    tracemalloc.start()
+    try:
+        values, err = integrate_segment(f, a, a + 1.0, 1e-10, max_panels=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    exact = cmath.log(0.5 - 3e-4j) - cmath.log(-0.5 - 3e-4j)
+    assert np.abs(values - exact).max() <= err
 
 
 def test_four_segments_share_the_batch_bound():

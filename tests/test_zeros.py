@@ -16,8 +16,11 @@ from sinecomb import (
     zero_strip_estimate,
     zeros_to_csv,
 )
+import sinecomb.zeros
 from sinecomb.errors import BoundaryProximityError, EmptyPolynomialError
-from sinecomb.zeros import _clearance, _segment_dips
+from sinecomb.quadrature import integrate_segment
+from sinecomb.zeros import (EDGE_TOL, WINDING_ACCEPT, _clearance, _piece_grid,
+                            _Search, _segment_dips)
 
 from conftest import Y0
 
@@ -128,6 +131,100 @@ def test_batched_zoom_matches_the_loop(a, b):
     p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, [
         (PI, 0.0, 1), (math.sqrt(2) * PI, 0.3, 1), (math.sqrt(3) * PI, 1.1, 2)]))
     assert _segment_dips(p, a, b) == _segment_dips_loop(p, a, b)
+
+
+# -- the piece grid of the rectangle's top and bottom ----------------------------
+
+THREE_FACTORS = [(PI, 0.0, 1), (math.sqrt(2) * PI, 0.3, 1), (math.sqrt(3) * PI, 1.1, 2)]
+
+
+def _band_rect(p, half):
+    strip = zero_strip_estimate(p)
+    return Rect(-half, half, strip.alpha - strip.eta, strip.beta + strip.eta)
+
+
+def _counted_calls(monkeypatch):
+    """Record the segment count of every integrate_segment call of zeros."""
+    calls = []
+
+    def counted(f, a, b, *args, **kwargs):
+        calls.append(np.size(a))
+        return integrate_segment(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(sinecomb.zeros, "integrate_segment", counted)
+    return calls
+
+
+def test_grid_ends_are_the_midpoints_of_repeated_splits():
+    rect = Rect(-25.3, 25.3, -1.0, 1.0)
+    grid = _piece_grid(rect, 5.9)
+    assert len(grid) == 129  # 2^7 pieces of at most MOMENT_MAX / 2 zeros
+    for step in (128, 64, 32, 16, 8, 4, 2):
+        for i in range(0, 128, step):
+            lo, hi = grid[i], grid[i + step]
+            assert lo + 0.5 * (hi - lo) == grid[i + step // 2]
+    assert _piece_grid(Rect(-1.0, 1.0, -1.0, 1.0), 3.9) == []  # 2 pieces
+
+
+def test_grid_side_is_a_difference_of_prefix_sums(monkeypatch):
+    p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, THREE_FACTORS))
+    rect = _band_rect(p, 25.3)
+    search = _Search(p, rect, 1e-12)
+    g = search.grid_x
+    calls = _counted_calls(monkeypatch)
+    sides = [(complex(g[3], rect.y_min), complex(g[40], rect.y_min)),
+             (complex(g[64], rect.y_max), complex(g[128], rect.y_max)),
+             (complex(g[0], rect.y_min), complex(g[128], rect.y_min))]
+    for (value, err), (a, b) in zip(search._edges(sides), sides):
+        direct, _ = integrate_segment(p.log_ratio, a, b, EDGE_TOL)
+        assert abs(value - direct) <= EDGE_TOL
+        assert err <= EDGE_TOL
+    assert calls == [2 * 128]  # the pieces, integrated once for all sides
+
+
+def test_side_off_the_grid_is_integrated_directly(monkeypatch):
+    p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, THREE_FACTORS))
+    rect = _band_rect(p, 25.3)
+    search = _Search(p, rect, 1e-12)
+    g = search.grid_x
+    calls = _counted_calls(monkeypatch)
+    cut = g[40] + 0.46 * (g[48] - g[40])
+    side = (complex(g[3], rect.y_min), complex(cut, rect.y_min))
+    [(value, err)] = search._edges([side])
+    assert calls == [1]
+    assert (value, err) == (integrate_segment(p.log_ratio, *side, EDGE_TOL))
+
+
+@pytest.mark.parametrize("half", [25.3, 50.3])
+@pytest.mark.parametrize("case", ["sin", "sin2", "4+2cos", "3-factor"])
+def test_count_on_the_reference_windows(case, half):
+    # the closed-form counts, which the search counted before it had a grid
+    factors = {"sin": [(PI, 0.0, 1)], "sin2": [(PI, 0.0, 2)],
+               "3-factor": THREE_FACTORS}.get(case)
+    if factors is None:
+        p = ExpPolynomial.from_terms([(-1.0, 1.0), (0.0, 4.0), (1.0, 1.0)])
+        expected = 2 * sum(abs(k + 0.5) < half for k in range(-100, 100))
+    else:
+        p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, factors))
+        expected = sum(m * sum(abs(k * PI - beta) < half * alpha
+                               for k in range(-300, 301))
+                       for alpha, beta, m in factors)
+    assert count_zeros(p, _band_rect(p, half)) == expected
+
+
+def test_side_error_alone_escalates_the_count(monkeypatch, sin_poly):
+    # a winding within WINDING_ACCEPT of an integer is not accepted while
+    # one side's own error estimate exceeds the margin
+    rect = Rect(-5.3, 5.7, -1, 1)
+    search = _Search(sin_poly, rect, 1e-12)
+    assert search.count(rect) == 11
+    right = search._sides(rect)[1]
+    value, _ = search.edge_cache[right]
+    search.edge_cache[right] = (value, 2.0 * PI * WINDING_ACCEPT)
+    calls = _counted_calls(monkeypatch)
+    assert search.count(rect) == 11
+    assert calls == [4]  # the four sides, once, at a finer tolerance
+    assert search.edge_cache[right][1] < EDGE_TOL
 
 
 class TestInvariants:
