@@ -155,59 +155,68 @@ class AtomicMeasure:
         return len(self.atoms)
 
 
-def _segment_dips(p: ExpPolynomial, a: complex,
-                  b: complex) -> list[tuple[float, float, float]]:
-    """All suspicious |p| dips along the segment:
-    [(log|p|, log term scale, gap)].
+def _segment_dips(p: ExpPolynomial, ends: list[tuple[complex, complex]]
+                  ) -> list[list[tuple[float, float, float]]]:
+    """All suspicious |p| dips along each (a, b) segment of ``ends``:
+    [(log|p|, log term scale, gap)] per segment.
 
     The term scale is the pointwise max term magnitude
     max_j |q_j e^{2*pi*i*omega_j*z}|, the natural size of |p| there; gap is
     the distance-to-zero estimate |p/p'| at the dip.  Every local minimum of
     the coarse samples whose clearance is comparable to the sample spacing
     gets its bracket zoomed, so multiple zeros on (or near) one segment are
-    all detected, not just the deepest one.
+    all detected, not just the deepest one.  The samples of all segments are
+    evaluated together, and a sample's value does not depend on the others.
     """
-    dz = b - a
-    if 16 * abs(dz) >= SCAN_CAP:
-        raise CapacityError(f"boundary scan of an edge {abs(dz):.3g} long "
-                            f"exceeds {SCAN_CAP} samples")
-    n = max(129, int(16 * abs(dz)) + 1)
-    t = np.linspace(0.0, 1.0, n)
-    vals, scales = p.log_abs(a + dz * t)
-    spacing = abs(dz) / (n - 1)
-    interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-    candidates = [0, n - 1] + (np.nonzero(interior)[0] + 1).tolist()
-    candidates.sort(key=lambda i: vals[i])
-    ks = np.array(candidates[:8])
-    gaps = [_clearance(p, a + dz * t[k]) for k in ks.tolist()]
-    out = [(float(vals[k]), float(scales[k]), gap) for k, gap in zip(ks, gaps)]
-    zoom = np.flatnonzero(np.array(gaps) <= 4.0 * spacing)
-    if zoom.size:
+    if not ends:
+        return []
+    lines = []
+    for a, b in ends:
+        dz = b - a
+        if 16 * abs(dz) >= SCAN_CAP:
+            raise CapacityError(f"boundary scan of an edge {abs(dz):.3g} long "
+                                f"exceeds {SCAN_CAP} samples")
+        lines.append((a, dz, np.linspace(0.0, 1.0, max(129, int(16 * abs(dz)) + 1))))
+    vals, scales = p.log_abs(np.concatenate([a + dz * t for a, dz, t in lines]))
+    cuts = np.cumsum([t.size for _, _, t in lines])[:-1]
+    out = []
+    zoom = []  # (segment, dip, a, dz, log|p|, log scale, t, bracket) of each dip to zoom
+    for s, ((a, dz, t), vals, scales) in enumerate(zip(
+            lines, np.split(vals, cuts), np.split(scales, cuts))):
+        n = t.size
+        interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
+        candidates = [0, n - 1] + (np.nonzero(interior)[0] + 1).tolist()
+        candidates.sort(key=lambda i: vals[i])
+        ks = candidates[:8]
+        gaps = [_clearance(p, a + dz * t[k]) for k in ks]
+        out.append([(float(vals[k]), float(scales[k]), gap) for k, gap in zip(ks, gaps)])
+        zoom += [(s, i, a, dz, vals[k], scales[k], t[k], t[max(k - 1, 0)], t[min(k + 1, n - 1)])
+                 for i, (k, gap) in enumerate(zip(ks, gaps))
+                 if gap <= 4.0 * (abs(dz) / (n - 1))]
+    if zoom:
         # all brackets zoom together: one 33-point sample per bracket and level
-        k = ks[zoom]
-        best, scale, t_best = vals[k], scales[k], t[k]
-        lo, hi = t[np.maximum(k - 1, 0)], t[np.minimum(k + 1, n - 1)]
-        rows = np.arange(k.size)
+        _, _, a, dz, best, scale, t_best, lo, hi = map(np.array, zip(*zoom))
+        rows = np.arange(len(zoom))
         for _ in range(6):
             tt = np.linspace(lo, hi, 33, axis=-1)
-            vv, ss = p.log_abs(a + dz * tt)
+            vv, ss = p.log_abs(a[:, None] + dz[:, None] * tt)
             j = vv.argmin(axis=1)
             lower = vv[rows, j] < best
             best = np.where(lower, vv[rows, j], best)
             scale = np.where(lower, ss[rows, j], scale)
             t_best = np.where(lower, tt[rows, j], t_best)
             lo, hi = tt[rows, np.maximum(j - 1, 0)], tt[rows, np.minimum(j + 1, 32)]
-        for i, v, sc, tb in zip(zoom.tolist(), best.tolist(), scale.tolist(),
-                                t_best.tolist()):
-            out[i] = (v, sc, _clearance(p, a + dz * tb))
+        for (s, i, a, dz, *_), v, sc, tb in zip(zoom, best.tolist(), scale.tolist(),
+                                                t_best.tolist()):
+            out[s][i] = (v, sc, _clearance(p, a + dz * tb))
     return out
 
 
 def _boundary_ok(p: ExpPolynomial, rect: Rect) -> bool:
     """Every suspicious dip along the boundary keeps |p| / (pointwise max
     term magnitude) above the safety floor (see _segment_dips)."""
-    worst = min(math.exp(v - s) for a, b in rect.edges
-                for v, s, _ in _segment_dips(p, a, b))
+    worst = min(math.exp(v - s) for dips in _segment_dips(p, list(rect.edges))
+                for v, s, _ in dips)
     return worst > BOUNDARY_SAFETY_REL
 
 
@@ -427,11 +436,13 @@ class _Search:
 
     _SPLIT_FRACTIONS = (0.5, 0.46, 0.54, 0.41, 0.59, 0.34, 0.66)
 
-    def _pick_line(self, lo: float, hi: float, seg_of) -> float | None:
-        """Choose a split coordinate in (lo, hi) whose line stays clear of
-        zeros: candidates fan out from the midpoint, the first comfortably
-        clear one wins, otherwise the candidate with the largest
-        distance-to-zero clearance at its |p| dip.
+    def _pick_line(self, lo: float, hi: float, seg_of,
+                   mid_dips: list[tuple[float, float, float]]) -> float | None:
+        """Choose a split coordinate in (lo, hi) whose line ``seg_of(c)``
+        stays clear of zeros: candidates fan out from the midpoint, whose
+        dips are ``mid_dips``, the first comfortably clear one wins,
+        otherwise the candidate with the largest distance-to-zero clearance
+        at its |p| dip.
 
         Besides the clearance floor, the dip's |p| must stay well above the
         rounding noise of the term sum (ratio floor): a boundary inside the
@@ -443,7 +454,7 @@ class _Search:
             a, b = seg_of(c)
             seg_len = abs(b - a)
             # the dip of least clearance, and the least |p| over its scale
-            dips = _segment_dips(self.p, a, b)
+            dips = mid_dips if frac == 0.5 else _segment_dips(self.p, [(a, b)])[0]
             _, scale, gap = min(dips, key=lambda d: d[2])
             ratio = math.exp(min(d[0] for d in dips) - scale)
             if gap > 1e-3 * seg_len:
@@ -457,16 +468,28 @@ class _Search:
             return best[0]
         return None
 
-    def _halves(self, rect: Rect) -> tuple[Rect, Rect] | None:
-        """The halves of ``rect`` across its longer side (vertically if it
+    def _halves(self, cells: list[Rect]) -> list[tuple[Rect, Rect] | None]:
+        """The halves of each cell across its longer side (vertically if it
         is wider than slab_floor) on a line clear of zeros, the lower or
-        left one first; None if no line is clear."""
-        x0, x1, y0, y1 = rect.x_min, rect.x_max, rect.y_min, rect.y_max
-        if rect.width >= rect.height or rect.width > self.slab_floor:
-            c = self._pick_line(x0, x1, lambda c: (complex(c, y0), complex(c, y1)))
-            return None if c is None else (Rect(x0, c, y0, y1), Rect(c, x1, y0, y1))
-        c = self._pick_line(y0, y1, lambda c: (complex(x0, c), complex(x1, c)))
-        return None if c is None else (Rect(x0, x1, y0, c), Rect(x0, x1, c, y1))
+        left one first; None where no line is clear.  The midpoint lines of
+        all cells are scanned in one batch."""
+        vertical = [r.width >= r.height or r.width > self.slab_floor for r in cells]
+        plans = [(r.x_min, r.x_max, lambda c, r=r: (complex(c, r.y_min), complex(c, r.y_max)))
+                 if v else
+                 (r.y_min, r.y_max, lambda c, r=r: (complex(r.x_min, c), complex(r.x_max, c)))
+                 for r, v in zip(cells, vertical)]
+        mids = _segment_dips(self.p, [seg_of(lo + 0.5 * (hi - lo))
+                                      for lo, hi, seg_of in plans])
+        out = []
+        for r, v, (lo, hi, seg_of), dips in zip(cells, vertical, plans, mids):
+            c = self._pick_line(lo, hi, seg_of, dips)
+            if c is None:
+                out.append(None)
+            elif v:
+                out.append((Rect(lo, c, r.y_min, r.y_max), Rect(c, hi, r.y_min, r.y_max)))
+            else:
+                out.append((Rect(r.x_min, r.x_max, lo, c), Rect(r.x_min, r.x_max, c, hi)))
+        return out
 
     def _count_halves(self, rect: Rect, n: int, first: Rect,
                       second: Rect) -> list[tuple[Rect, int]]:
@@ -624,7 +647,7 @@ class _Search:
         value does not depend on the others in the pass."""
         level = [(rect, n)]
         while level:
-            splits = []
+            split = []
             for cell, n in level:
                 if n == 0:
                     continue
@@ -636,7 +659,9 @@ class _Search:
                     z, polished = self._polish_multiple(cell.center, n)
                     atoms.append((z, n, not polished))
                     continue
-                halves = self._halves(cell)
+                split.append((cell, n))
+            splits = []
+            for (cell, n), halves in zip(split, self._halves([c for c, _ in split])):
                 if halves is None:
                     # every candidate line runs through the noise zone of a
                     # multiple zero; double precision cannot separate further

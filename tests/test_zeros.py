@@ -121,16 +121,26 @@ def _segment_dips_loop(p, a, b):
     return out
 
 
-@pytest.mark.parametrize("a, b", [
+SCAN_SEGMENTS = [
     (-4.9 + 1e-3j, 5.3 + 1e-3j),  # along the zeros, every dip zoomed
     (-0.9 - 0.4j, 0.6 + 0.5j),
     (1.0 - 1.0j, 1.0 + 1.0j),  # through a zero
     (-30.0 + 0.2j, 30.0 + 0.2j),
-])
+]
+
+
+@pytest.mark.parametrize("a, b", SCAN_SEGMENTS)
 def test_batched_zoom_matches_the_loop(a, b):
     p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, [
         (PI, 0.0, 1), (math.sqrt(2) * PI, 0.3, 1), (math.sqrt(3) * PI, 1.1, 2)]))
-    assert _segment_dips(p, a, b) == _segment_dips_loop(p, a, b)
+    assert _segment_dips(p, [(a, b)]) == [_segment_dips_loop(p, a, b)]
+
+
+def test_segments_scanned_together_match_each_alone():
+    p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, [
+        (PI, 0.0, 1), (math.sqrt(2) * PI, 0.3, 1), (math.sqrt(3) * PI, 1.1, 2)]))
+    assert _segment_dips(p, SCAN_SEGMENTS) == [
+        _segment_dips(p, [ends])[0] for ends in SCAN_SEGMENTS]
 
 
 # -- the piece grid of the rectangle's top and bottom ----------------------------
