@@ -20,8 +20,9 @@ holds more than MOMENT_MAX zeros, is split across its longer side
 from edge integrals of p'/p in one cache, each with its error estimate, and
 a winding number is accepted only once it lies within WINDING_ACCEPT of an
 integer together with the error.  The cell tree is walked level by level:
-the split lines and first-half cut sides of all of a level's splits are
-integrated in one quadrature pass.  The rectangle's top and bottom are
+the midpoint lines of all of a level's splits are scanned in one batch, and
+their split lines and first-half cut sides are integrated in one quadrature
+pass.  The rectangle's top and bottom are
 integrated once, as 2^K pieces of at most MOMENT_MAX / 2 zeros each, cut
 at the midpoints that repeated splits at the middle cut them at; a cut
 side whose ends are grid points is a difference of the pieces' prefix
@@ -310,13 +311,14 @@ def _newton_refine(p: ExpPolynomial, z0: complex, tol: float,
 def _piece_grid(rect: Rect, density: float) -> list[float]:
     """The 2^K + 1 ends of the pieces of the rectangle's top and bottom,
     for the least K that makes a piece hold at most MOMENT_MAX / 2 zeros
-    at ``density`` zeros per unit length; empty if K < 2.  The ends are
+    at ``density`` zeros per unit length; empty if K < 2, or if 2^K
+    exceeds SCAN_CAP (a grid finer than the boundary scans).  The ends are
     the midpoints of repeated splits at the middle, computed as _pick_line
     computes them, so the cut sides of such splits end on grid points."""
     depth = 0
     while rect.width * density / 2.0 ** depth > MOMENT_MAX / 2:
         depth += 1
-    if depth < 2:
+    if depth < 2 or 2 ** depth > SCAN_CAP:
         return []
     grid = np.array([rect.x_min, rect.x_max])
     for _ in range(depth):
@@ -468,11 +470,11 @@ class _Search:
             return best[0]
         return None
 
-    def _halves(self, cells: list[Rect]) -> list[tuple[Rect, Rect] | None]:
+    def _halves(self, cells: list[Rect]) -> list[tuple[Rect, Rect]]:
         """The halves of each cell across its longer side (vertically if it
         is wider than slab_floor) on a line clear of zeros, the lower or
-        left one first; None where no line is clear.  The midpoint lines of
-        all cells are scanned in one batch."""
+        left one first.  The midpoint lines of all cells are scanned in one
+        batch.  Raises QuadratureFailureError where no line is clear."""
         vertical = [r.width >= r.height or r.width > self.slab_floor for r in cells]
         plans = [(r.x_min, r.x_max, lambda c, r=r: (complex(c, r.y_min), complex(c, r.y_max)))
                  if v else
@@ -484,8 +486,10 @@ class _Search:
         for r, v, (lo, hi, seg_of), dips in zip(cells, vertical, plans, mids):
             c = self._pick_line(lo, hi, seg_of, dips)
             if c is None:
-                out.append(None)
-            elif v:
+                # every candidate line runs through the noise zone of a
+                # multiple zero; double precision cannot separate further
+                raise QuadratureFailureError(f"no clear line splits {r}")
+            if v:
                 out.append((Rect(lo, c, r.y_min, r.y_max), Rect(c, hi, r.y_min, r.y_max)))
             else:
                 out.append((Rect(r.x_min, r.x_max, lo, c), Rect(r.x_min, r.x_max, c, hi)))
@@ -642,12 +646,13 @@ class _Search:
         rounding-noise radius of an n-fold zero becomes one n-fold atom,
         coarse if its polish on p^(n-1) fails.
 
-        The cell tree is walked level by level: the new sides of all of a
-        level's splits are integrated in one quadrature pass, and a side's
-        value does not depend on the others in the pass."""
+        The cell tree is walked level by level: the midpoint lines of all
+        of a level's splits are scanned in one batch, and their new sides
+        are integrated in one quadrature pass; neither a sample nor a side
+        depends on the others in its batch."""
         level = [(rect, n)]
         while level:
-            split = []
+            to_split = []
             for cell, n in level:
                 if n == 0:
                     continue
@@ -659,18 +664,11 @@ class _Search:
                     z, polished = self._polish_multiple(cell.center, n)
                     atoms.append((z, n, not polished))
                     continue
-                split.append((cell, n))
-            splits = []
-            for (cell, n), halves in zip(split, self._halves([c for c, _ in split])):
-                if halves is None:
-                    # every candidate line runs through the noise zone of a
-                    # multiple zero; double precision cannot separate further
-                    raise QuadratureFailureError(f"no clear line splits {cell}")
-                splits.append((cell, n, *halves))
-            # the new sides of all of the level's splits, in one pass
-            self._edges([side for _, _, first, _ in splits
-                         for side in self._sides(first)])
-            level = [half for split in splits for half in self._count_halves(*split)]
+                to_split.append((cell, n))
+            halves = self._halves([cell for cell, _ in to_split])
+            self._edges([side for first, _ in halves for side in self._sides(first)])
+            level = [half for (cell, n), (first, second) in zip(to_split, halves)
+                     for half in self._count_halves(cell, n, first, second)]
 
 
 def count_zeros(p: ExpPolynomial, rect: Rect) -> int:

@@ -174,6 +174,7 @@ def test_grid_ends_are_the_midpoints_of_repeated_splits():
             lo, hi = grid[i], grid[i + step]
             assert lo + 0.5 * (hi - lo) == grid[i + step // 2]
     assert _piece_grid(Rect(-1.0, 1.0, -1.0, 1.0), 3.9) == []  # 2 pieces
+    assert _piece_grid(Rect(-50.0, 50.0, -1.0, 1.0), 1e4) == []  # 2^18 pieces
 
 
 def test_grid_side_is_a_difference_of_prefix_sums(monkeypatch):
