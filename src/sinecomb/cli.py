@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import jsonio
@@ -53,10 +53,6 @@ class RunConfig:
         {"kind": "gaussian", "s": 2.0, "t0": 0.0},
         {"kind": "gaussian", "s": 4.0, "t0": 0.0},
     )
-
-
-_CONFIG_KEYS = {"reconstruction_tol", "zero_tol", "gamma_max", "window", "radii",
-                "battery"}
 
 
 def _validate_config(cfg: RunConfig) -> RunConfig:
@@ -111,26 +107,15 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    fields = {}
+    values = {}
     for key, value in data.items():
         if key in ("window", "radii", "battery") and isinstance(value, list):
             value = tuple(value)
-        fields[key] = value
-    return _validate_config(replace(cfg, **fields))
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "reconstruction_tol": cfg.reconstruction_tol,
-        "zero_tol": cfg.zero_tol,
-        "gamma_max": cfg.gamma_max,
-        "window": list(cfg.window) if cfg.window else None,
-        "radii": list(cfg.radii) if cfg.radii else None,
-        "battery": [dict(b) for b in cfg.battery],
-    }
+        values[key] = value
+    return _validate_config(replace(cfg, **values))
 
 
 def _read_input(path: str) -> ExpPolynomial:
@@ -339,7 +324,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.print_config:
-            sys.stdout.write(jsonio.dumps(config_to_dict(RunConfig())) + "\n")
+            sys.stdout.write(jsonio.dumps(asdict(RunConfig())) + "\n")
             return EXIT_OK
         if getattr(args, "command", None) is None:
             raise ConfigError("a subcommand is required (see --help)")

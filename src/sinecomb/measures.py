@@ -32,14 +32,10 @@ import numpy as np
 
 from . import freq
 from .core import TWO_PI, ExpPolynomial
-from .errors import (
-    BoundaryProximityError,
-    PreconditionError,
-    QuadratureFailureError,
-)
+from .errors import PreconditionError, QuadratureFailureError
 from .logderiv import LOWER, UPPER, DirichletCoefficients
 from .quadrature import integrate_segment
-from .zeros import AtomicMeasure, Rect, _boundary_ok, find_zeros
+from .zeros import AtomicMeasure, Rect, find_zeros
 
 #: Atoms whose assembled mass falls below this (relative) are dropped.
 MASS_DROP_REL = 1e-14
@@ -320,10 +316,10 @@ class ContourReport:
 def contour_residue_report(p: ExpPolynomial, tf: TestFunction,
                            rect: Rect) -> ContourReport:
     """Contour integral of transform_c(tf, z) * p'/p against 2*pi*i times the
-    residue sum over the enclosed zeros."""
-    if not _boundary_ok(p, rect):
-        raise BoundaryProximityError(
-            "|p| too small on the rectangle boundary; perturb the rectangle")
+    residue sum over the enclosed zeros.  The zero search checks the
+    boundary first and raises BoundaryProximityError if |p| is too small
+    there."""
+    zeros = find_zeros(p, rect, allow_jitter=False)
 
     def integrand(z):
         return transform_c(tf, z) * p.log_ratio(z)
@@ -331,8 +327,6 @@ def contour_residue_report(p: ExpPolynomial, tf: TestFunction,
     a, b = np.array(rect.edges).T
     total = integrate_segment(integrand, a, b, CONTOUR_EDGE_TOL,
                               max_panels=20000)[0].sum()
-
-    zeros = find_zeros(p, rect, allow_jitter=False)
     res = 2j * math.pi * _pair_transform(zeros, tf)
     return ContourReport(integral=total, residue_sum=res,
                          residual=abs(total - res))

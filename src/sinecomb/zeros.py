@@ -53,6 +53,9 @@ from .quadrature import integrate_segment
 CLUSTER_TOL = 1e-7
 #: min sampled |p| on a contour must exceed this times the max term magnitude.
 BOUNDARY_SAFETY_REL = 1e-8
+#: A split line's least distance-to-zero clearance must exceed this fraction
+#: of its length.
+SPLIT_CLEARANCE_REL = 1e-3
 #: Winding numbers are accepted once within this distance of an integer,
 #: their sides' error estimates over 2*pi included.
 WINDING_ACCEPT = 1e-3
@@ -391,19 +394,15 @@ class _Search:
                                  float(errors[row, j] - errors[row, i]))
         return True
 
-    def _edges(self, ends: list[tuple[complex, complex]],
-               tol: float | None = None) -> list[tuple[complex, float]]:
+    def _edges(self, ends: list[tuple[complex, complex]]) -> list[tuple[complex, float]]:
         """Integrals of p'/p along the (start, end) segments ``ends``, with
         their error estimates.  Sides on the grid come from its prefix sums;
         the others not cached are integrated in one quadrature pass at
-        EDGE_TOL.  A ``tol`` integrates all of them again at that tolerance."""
-        if tol is None:
-            todo = [e for e in dict.fromkeys(ends)
-                    if e not in self.edge_cache and not self._from_grid(e)]
-        else:
-            todo = list(dict.fromkeys(ends))
+        EDGE_TOL."""
+        todo = [e for e in dict.fromkeys(ends)
+                if e not in self.edge_cache and not self._from_grid(e)]
         if todo:
-            values, errors = self._integrate(todo, EDGE_TOL if tol is None else tol)
+            values, errors = self._integrate(todo, EDGE_TOL)
             self.edge_cache.update(zip(todo, zip(values.tolist(), errors.tolist())))
         return [self.edge_cache[e] for e in ends]
 
@@ -417,20 +416,16 @@ class _Search:
                 (complex(x0, y1), complex(x1, y1)), (complex(x0, y0), complex(x0, y1))]
 
     def count(self, rect: Rect) -> int:
-        """Winding number of ``rect``, accepted once it lies within
-        WINDING_ACCEPT of an integer together with its sides' error
-        estimates over 2*pi; sides that do not settle it are integrated again
-        at tolerances 256, 256^2 and 256^3 times finer."""
-        for escalation in range(4):
-            if escalation:
-                self._edges(self._sides(rect), EDGE_TOL / 256.0 ** escalation)
-            sides = self._edges(self._sides(rect))
-            (bottom, _), (right, _), (top, _), (left, _) = sides
-            w = (bottom + right - top - left) / (2j * math.pi)
-            n = round(w.real)
-            err = sum(e for _, e in sides) / (2.0 * math.pi)
-            if abs(w - n) + err < WINDING_ACCEPT and n >= 0:
-                return n
+        """Winding number of ``rect`` from its four cached sides, accepted if
+        it lies within WINDING_ACCEPT of an integer together with the sides'
+        error estimates over 2*pi; otherwise QuadratureFailureError."""
+        sides = self._edges(self._sides(rect))
+        (bottom, _), (right, _), (top, _), (left, _) = sides
+        w = (bottom + right - top - left) / (2j * math.pi)
+        n = round(w.real)
+        err = sum(e for _, e in sides) / (2.0 * math.pi)
+        if abs(w - n) + err < WINDING_ACCEPT and n >= 0:
+            return n
         raise QuadratureFailureError(
             f"winding {w:.6g} did not settle below {WINDING_ACCEPT}")
 
@@ -442,32 +437,15 @@ class _Search:
                    mid_dips: list[tuple[float, float, float]]) -> float | None:
         """Choose a split coordinate in (lo, hi) whose line ``seg_of(c)``
         stays clear of zeros: candidates fan out from the midpoint, whose
-        dips are ``mid_dips``, the first comfortably clear one wins,
-        otherwise the candidate with the largest distance-to-zero clearance
-        at its |p| dip.
-
-        Besides the clearance floor, the dip's |p| must stay well above the
-        rounding noise of the term sum (ratio floor): a boundary inside the
-        noise zone of a multiple zero cannot be integrated along at all.
-        """
-        best = None
+        dips are ``mid_dips``, and the first whose least distance-to-zero
+        clearance exceeds SPLIT_CLEARANCE_REL of its length wins; None if
+        no candidate does."""
         for frac in self._SPLIT_FRACTIONS:
             c = lo + frac * (hi - lo)
             a, b = seg_of(c)
-            seg_len = abs(b - a)
-            # the dip of least clearance, and the least |p| over its scale
             dips = mid_dips if frac == 0.5 else _segment_dips(self.p, [(a, b)])[0]
-            _, scale, gap = min(dips, key=lambda d: d[2])
-            ratio = math.exp(min(d[0] for d in dips) - scale)
-            if gap > 1e-3 * seg_len:
+            if min(gap for _, _, gap in dips) > SPLIT_CLEARANCE_REL * abs(b - a):
                 return c
-            if best is None or gap > best[1]:
-                best = (c, gap, ratio)
-        # the accepted line must keep all zeros at a distance the adaptive
-        # quadrature can resolve (relative floor) and its |p| dip above the
-        # term-sum rounding noise (absolute ratio floor)
-        if best[1] > 1e-4 * seg_len and best[2] > 1e-11:
-            return best[0]
         return None
 
     def _halves(self, cells: list[Rect]) -> list[tuple[Rect, Rect]]:

@@ -26,7 +26,8 @@ from sinecomb import (
     poisson_report,
     transform_c,
 )
-from sinecomb.errors import PreconditionError, QuadratureFailureError
+from sinecomb.errors import (BoundaryProximityError, PreconditionError,
+                             QuadratureFailureError)
 from sinecomb.zeros import AtomicMeasure
 
 from conftest import Y0
@@ -311,3 +312,8 @@ class TestContourResidue:
                               + transform_c(tf, complex(0.5, -Y0)))
         assert abs(rep.integral - expected) <= 1e-8
         assert rep.residual <= 1e-8
+
+    def test_zero_on_the_boundary_is_refused(self, sin_poly):
+        # the left side runs through the zero at 0
+        with pytest.raises(BoundaryProximityError):
+            contour_residue_report(sin_poly, gaussian(1.0), Rect(0.0, 0.8, -1, 1))

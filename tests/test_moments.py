@@ -22,7 +22,9 @@ from sinecomb import (
     find_zeros_report,
     zero_strip_estimate,
 )
+import sinecomb.zeros
 from sinecomb.errors import QuadratureFailureError
+from sinecomb.quadrature import integrate_segment
 from sinecomb.zeros import CLUSTER_TOL, MOMENT_MAX, _boundary_ok, _Search
 
 from conftest import random_sine_product
@@ -136,6 +138,35 @@ def test_zero_search_failures_factor(i):
     s = high_multiplicity_corpus(24, 6)[i]
     rect = corpus_rect(s)
     assert_factors_fast(s, (rect.x_min, rect.x_max))
+
+
+def _counted_nodes(monkeypatch) -> list[int]:
+    """Count the integrand nodes of every integrate_segment call of zeros."""
+    nodes = [0]
+
+    def counted(f, a, b, *args, **kwargs):
+        def g(z):
+            nodes[0] += z.size
+            return f(z)
+        return integrate_segment(g, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(sinecomb.zeros, "integrate_segment", counted)
+    return nodes
+
+
+@pytest.mark.parametrize("s, budget", [
+    *[(SineProduct.from_factors(1.0, 0.0, [(2.0, 0.7161782258722513, m)]), 250_000)
+      for m in (8, 9, 10)],
+    (high_multiplicity_corpus(24, 6)[4], 400_000),
+    (high_multiplicity_corpus(24, 6)[18], 200_000)],
+    ids=["sin^8", "sin^9", "sin^10", "seed6-p4", "seed6-p18"])
+def test_zero_search_fails_fast(monkeypatch, s, budget):
+    # each of these searches splits into the rounding noise of its multiple
+    # zeros until a count does not settle, and raises at that count
+    nodes = _counted_nodes(monkeypatch)
+    with pytest.raises(QuadratureFailureError):
+        find_zeros_report(expand_sine_product(s), corpus_rect(s))
+    assert nodes[0] <= budget
 
 
 def test_near_double_zeros_factor():

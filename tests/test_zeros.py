@@ -17,7 +17,8 @@ from sinecomb import (
     zeros_to_csv,
 )
 import sinecomb.zeros
-from sinecomb.errors import BoundaryProximityError, EmptyPolynomialError
+from sinecomb.errors import (BoundaryProximityError, EmptyPolynomialError,
+                             QuadratureFailureError)
 from sinecomb.quadrature import integrate_segment
 from sinecomb.zeros import (EDGE_TOL, WINDING_ACCEPT, _clearance, _piece_grid,
                             _Search, _segment_dips)
@@ -223,9 +224,10 @@ def test_count_on_the_reference_windows(case, half):
     assert count_zeros(p, _band_rect(p, half)) == expected
 
 
-def test_side_error_alone_escalates_the_count(monkeypatch, sin_poly):
+def test_side_error_alone_fails_the_count(monkeypatch, sin_poly):
     # a winding within WINDING_ACCEPT of an integer is not accepted while
-    # one side's own error estimate exceeds the margin
+    # one side's own error estimate exceeds the margin, and the count
+    # raises at once, integrating nothing again
     rect = Rect(-5.3, 5.7, -1, 1)
     search = _Search(sin_poly, rect, 1e-12)
     assert search.count(rect) == 11
@@ -233,9 +235,9 @@ def test_side_error_alone_escalates_the_count(monkeypatch, sin_poly):
     value, _ = search.edge_cache[right]
     search.edge_cache[right] = (value, 2.0 * PI * WINDING_ACCEPT)
     calls = _counted_calls(monkeypatch)
-    assert search.count(rect) == 11
-    assert calls == [4]  # the four sides, once, at a finer tolerance
-    assert search.edge_cache[right][1] < EDGE_TOL
+    with pytest.raises(QuadratureFailureError):
+        search.count(rect)
+    assert calls == []
 
 
 class TestInvariants:
