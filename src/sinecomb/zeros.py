@@ -28,9 +28,10 @@ at the midpoints that repeated splits at the middle cut them at; a cut
 side whose ends are grid points is a difference of the pieces' prefix
 sums.  Any other cut side costs the first half's piece, the other half
 telescoping from the parent's, so the total mass returned equals the
-top-level count by construction.  A cell below the rounding-noise radius
-of an n-fold zero is one n-fold atom; a cell that no clear line splits
-raises QuadratureFailureError.
+top-level count by construction.  One predicate (_clear) decides every
+contour line: |p| above BOUNDARY_SAFETY_REL of the term scale, and on a
+split line |p/p'| above SPLIT_CLEARANCE_REL of its length.  A cell that no
+clear line splits, or below CLUSTER_TOL across, is one coarse n-fold atom.
 """
 
 from __future__ import annotations
@@ -216,12 +217,16 @@ def _segment_dips(p: ExpPolynomial, ends: list[tuple[complex, complex]]
     return out
 
 
+def _clear(dips: list[tuple[float, float, float]], min_gap: float) -> bool:
+    """Every dip of a segment (see _segment_dips) keeps |p| / term scale
+    above BOUNDARY_SAFETY_REL and its gap |p/p'| above ``min_gap``."""
+    return all(math.exp(v - s) > BOUNDARY_SAFETY_REL and gap > min_gap
+               for v, s, gap in dips)
+
+
 def _boundary_ok(p: ExpPolynomial, rect: Rect) -> bool:
-    """Every suspicious dip along the boundary keeps |p| / (pointwise max
-    term magnitude) above the safety floor (see _segment_dips)."""
-    worst = min(math.exp(v - s) for dips in _segment_dips(p, list(rect.edges))
-                for v, s, _ in dips)
-    return worst > BOUNDARY_SAFETY_REL
+    """Every side of ``rect`` is clear of zeros (_clear, with no gap floor)."""
+    return all(_clear(dips, 0.0) for dips in _segment_dips(p, list(rect.edges)))
 
 
 def _clearance(p: ExpPolynomial, z: complex) -> float:
@@ -268,12 +273,6 @@ def hankel_pencil(s: np.ndarray, k: int, level: float):
     phi = np.linalg.eigvals(pencil)
     weights = np.linalg.solve(np.vander(phi, d, increasing=True).T, s[:d])
     return phi, weights, sv
-
-
-def _noise_radius(mult: int) -> float:
-    """Distance below which |p| near an m-fold zero is double-precision
-    rounding noise of the term sum: (pi*r)^m ~ 1e-13."""
-    return 1e-13 ** (1.0 / mult) / math.pi
 
 
 def _newton_refine(p: ExpPolynomial, z0: complex, tol: float,
@@ -437,22 +436,23 @@ class _Search:
                    mid_dips: list[tuple[float, float, float]]) -> float | None:
         """Choose a split coordinate in (lo, hi) whose line ``seg_of(c)``
         stays clear of zeros: candidates fan out from the midpoint, whose
-        dips are ``mid_dips``, and the first whose least distance-to-zero
-        clearance exceeds SPLIT_CLEARANCE_REL of its length wins; None if
-        no candidate does."""
+        dips are ``mid_dips``, and the first that _clear passes with a gap
+        floor of SPLIT_CLEARANCE_REL of its length wins; None if no
+        candidate does."""
         for frac in self._SPLIT_FRACTIONS:
             c = lo + frac * (hi - lo)
             a, b = seg_of(c)
             dips = mid_dips if frac == 0.5 else _segment_dips(self.p, [(a, b)])[0]
-            if min(gap for _, _, gap in dips) > SPLIT_CLEARANCE_REL * abs(b - a):
+            if _clear(dips, SPLIT_CLEARANCE_REL * abs(b - a)):
                 return c
         return None
 
-    def _halves(self, cells: list[Rect]) -> list[tuple[Rect, Rect]]:
+    def _halves(self, cells: list[Rect]) -> list[tuple[Rect, Rect] | None]:
         """The halves of each cell across its longer side (vertically if it
         is wider than slab_floor) on a line clear of zeros, the lower or
-        left one first.  The midpoint lines of all cells are scanned in one
-        batch.  Raises QuadratureFailureError where no line is clear."""
+        left one first; None for a cell below CLUSTER_TOL across or that no
+        line splits.  The midpoint lines of all cells are scanned in one
+        batch."""
         vertical = [r.width >= r.height or r.width > self.slab_floor for r in cells]
         plans = [(r.x_min, r.x_max, lambda c, r=r: (complex(c, r.y_min), complex(c, r.y_max)))
                  if v else
@@ -462,12 +462,11 @@ class _Search:
                                       for lo, hi, seg_of in plans])
         out = []
         for r, v, (lo, hi, seg_of), dips in zip(cells, vertical, plans, mids):
-            c = self._pick_line(lo, hi, seg_of, dips)
+            c = (None if math.hypot(r.width, r.height) < CLUSTER_TOL
+                 else self._pick_line(lo, hi, seg_of, dips))
             if c is None:
-                # every candidate line runs through the noise zone of a
-                # multiple zero; double precision cannot separate further
-                raise QuadratureFailureError(f"no clear line splits {r}")
-            if v:
+                out.append(None)
+            elif v:
                 out.append((Rect(lo, c, r.y_min, r.y_max), Rect(c, hi, r.y_min, r.y_max)))
             else:
                 out.append((Rect(r.x_min, r.x_max, lo, c), Rect(r.x_min, r.x_max, c, hi)))
@@ -492,13 +491,6 @@ class _Search:
             raise QuadratureFailureError(
                 f"count {n_first} inconsistent with parent {n}")
         return [(first, n_first), (second, n - n_first)]
-
-    def _polish_multiple(self, z: complex, mult: int) -> tuple[complex, bool]:
-        """Refine the location of an m-fold zero on the (m-1)-th derivative,
-        where it is a simple zero free of the |p| cancellation noise."""
-        z2, ok = _newton_refine(self._derivative(mult - 1), z, self.tol,
-                                escape=max(100.0 * _noise_radius(mult), 1e-4))
-        return (z2, True) if ok else (z, False)
 
     # -- moment stage -----------------------------------------------------------
 
@@ -610,19 +602,22 @@ class _Search:
         slack = (mult * np.array([spread for _, spread in placed]) / r) @ slope
         if (np.abs(mult @ powers - s) > MOMENT_REPRODUCE * (noise + slack)).any():
             return False
-        atoms.extend((z, int(m), False) for z, m in zip(locs.tolist(), mult))
+        atoms.extend((z, int(m), 0.0) for z, m in zip(locs.tolist(), mult))
         return True
 
     # -- cell resolution -------------------------------------------------------
 
     def resolve_cell(self, rect: Rect, n: int, atoms: list):
         """Resolve a cell known to hold ``n`` zeros into atoms
-        (location, multiplicity, coarse): from its moments, else from its
+        (location, multiplicity, radius): from its moments, else from its
         halves.  A cell wider than slab_floor with more than MOMENT_MAX
         zeros skips its moments: its zeros spread along the band, so fewer
-        than MOMENT_MAX of them are seldom distinct.  A cell below the
-        rounding-noise radius of an n-fold zero becomes one n-fold atom,
-        coarse if its polish on p^(n-1) fails.
+        than MOMENT_MAX of them are seldom distinct.  A moment atom has
+        radius 0.  A cell that _halves cannot split becomes one coarse
+        n-fold atom whose radius is the cell's diagonal: the centroid of its
+        zeros is a simple zero of p^(n-1) to leading order (Kravanja, Sakurai
+        & Van Barel 1999), so Newton's method on p^(n-1) from the cell's
+        centre places it, or the centre does where Newton's leaves the cell.
 
         The cell tree is walked level by level: the midpoint lines of all
         of a level's splits are scanned in one batch, and their new sides
@@ -637,16 +632,18 @@ class _Search:
                 wide = n > MOMENT_MAX and cell.width > self.slab_floor
                 if not wide and self.resolve_by_moments(cell, n, atoms):
                     continue
-                if math.hypot(cell.width, cell.height) < max(
-                        CLUSTER_TOL, 2.0 * _noise_radius(n)):
-                    z, polished = self._polish_multiple(cell.center, n)
-                    atoms.append((z, n, not polished))
-                    continue
                 to_split.append((cell, n))
-            halves = self._halves([cell for cell, _ in to_split])
-            self._edges([side for first, _ in halves for side in self._sides(first)])
-            level = [half for (cell, n), (first, second) in zip(to_split, halves)
-                     for half in self._count_halves(cell, n, first, second)]
+            split = []
+            for (cell, n), halves in zip(to_split, self._halves([c for c, _ in to_split])):
+                if halves is None:
+                    r = math.hypot(cell.width, cell.height)
+                    z, _ = _newton_refine(self._derivative(n - 1), cell.center,
+                                          self.tol, escape=r)
+                    atoms.append((z if cell.contains(z) else cell.center, n, r))
+                else:
+                    split.append((cell, n, *halves))
+            self._edges([side for *_, first, _ in split for side in self._sides(first)])
+            level = [half for args in split for half in self._count_halves(*args)]
 
 
 def count_zeros(p: ExpPolynomial, rect: Rect) -> int:
@@ -679,21 +676,23 @@ def _exp(x: float) -> float:
 
 
 def find_zeros_report(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
-                      allow_jitter: bool = True, seed: int = _DEFAULT_SEED):
+                      allow_jitter: bool = True):
     """Locate all zeros of ``p`` in ``rect``; returns (measure, diagnostics).
 
     Each atom's mass is the zero's multiplicity (always a winding number).
     Diagnostics report |p| residuals at the refined locations, any coarse
-    atoms (left at the centre of a cell too small to split, where the
-    polish failed) and the exit status.
+    atoms (one per cell that no clear line splits, placed on p^(n-1)),
+    their radii (the cell's diagonal: the atom's zeros lie within it) and
+    the exit status.
     """
     if p.n_terms == 0:
         raise EmptyPolynomialError("zero function")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DEFAULT_SEED)
     if p.n_terms == 1:
         return AtomicMeasure(()), {"count": 0, "max_residual": 0.0,
                                    "residual_bound": 0.0, "coarse": [],
-                                   "exit_status": 0, "rect_used": rect}
+                                   "coarse_radius": [], "exit_status": 0,
+                                   "rect_used": rect}
     work = rect
     for attempt in range(MAX_BOUNDARY_TRIES + 1):
         if _boundary_ok(p, work):
@@ -711,17 +710,17 @@ def find_zeros_report(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
 
     search = _Search(p, work, tol)
     n_total = search.count(work)
-    raw: list[tuple[complex, int, bool]] = []
+    raw: list[tuple[complex, int, float]] = []
     search.resolve_cell(work, n_total, raw)
 
     raw.sort(key=lambda t: (t[0].real, t[0].imag))
     merged: list[list] = []
-    for z, m, coarse in raw:
+    for z, m, radius in raw:
         if merged and abs(z - merged[-1][0]) < CLUSTER_TOL:
             merged[-1][1] += m
-            merged[-1][2] = merged[-1][2] or coarse
+            merged[-1][2] = max(merged[-1][2], radius)
         else:
-            merged.append([z, m, coarse])
+            merged.append([z, m, radius])
 
     mass = sum(m for _, m, _ in merged)
     if mass != n_total:
@@ -730,13 +729,14 @@ def find_zeros_report(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
 
     log_res, log_scale = p.log_abs(np.array([z for z, _, _ in merged],
                                             dtype=complex))
-    coarse_atoms = [z for z, _, c in merged if c]
+    radii = [radius for _, _, radius in merged if radius]
     diagnostics = {
         "count": n_total,
         "max_residual": _exp(max(log_res, default=-math.inf)),
         "residual_bound": 1e-8 * _exp(max(log_scale, default=0.0)),
-        "coarse": coarse_atoms,
-        "exit_status": 1 if coarse_atoms else 0,
+        "coarse": [z for z, _, radius in merged if radius],
+        "coarse_radius": radii,
+        "exit_status": 1 if radii else 0,
         "rect_used": work,
     }
     measure = AtomicMeasure.from_atoms((z, m) for z, m, _ in merged)
@@ -744,10 +744,9 @@ def find_zeros_report(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
 
 
 def find_zeros(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
-               allow_jitter: bool = True, seed: int = _DEFAULT_SEED) -> AtomicMeasure:
+               allow_jitter: bool = True) -> AtomicMeasure:
     """Zero measure of ``p`` on ``rect``: atoms at zeros, masses = multiplicities."""
-    measure, _ = find_zeros_report(p, rect, tol, allow_jitter=allow_jitter,
-                                   seed=seed)
+    measure, _ = find_zeros_report(p, rect, tol, allow_jitter=allow_jitter)
     return measure
 
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinecomb import jsonio
 from sinecomb.cli import main
 
+from test_moments import corpus_rect, high_multiplicity_corpus, shifted_sine_power
 from test_overflow import twelve_terms
 
 PI = math.pi
@@ -87,6 +89,24 @@ class TestZerosCommand:
         code = main(["zeros", "--input", str(f),
                      "--rect", "0.49999999999,0.50000000001,-1e-11,1e-11"])
         assert code == 6
+
+    @pytest.mark.parametrize("s, mults, coarse", [
+        (shifted_sine_power(8), [8] * 9, 0),
+        (high_multiplicity_corpus(24, 6)[18], None, 1)], ids=["sin^8", "seed6-p18"])
+    def test_multiple_zeros_exit_0(self, s, mults, coarse, tmp_path, capsys):
+        # no split line may run through the rounding noise of a multiple
+        # zero; the 5-fold and double zeros of p18, 1.3e-3 apart, end as one
+        # coarse atom
+        f = tmp_path / "p.json"
+        f.write_text(jsonio.dumps(jsonio.sine_product_to_dict(s)))
+        r = corpus_rect(s)
+        code = main(["zeros", "--input", str(f),
+                     f"--rect={r.x_min!r},{r.x_max!r},{r.y_min!r},{r.y_max!r}"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["coarse_atoms"] == coarse
+        if mults is not None:
+            assert [a["multiplicity"] for a in report["atoms"]] == mults
 
 
 class TestFactorCommand:

@@ -88,7 +88,7 @@ class TestFindZeros:
         assert diag["count"] == 5 == m.total_mass()
         assert diag["max_residual"] <= diag["residual_bound"]
         assert diag["exit_status"] == 0
-        assert diag["coarse"] == []
+        assert diag["coarse"] == diag["coarse_radius"] == []
 
 
 def _segment_dips_loop(p, a, b):
