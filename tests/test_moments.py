@@ -158,7 +158,7 @@ def shifted_sine_power(m: int) -> SineProduct:
 
 @pytest.mark.parametrize("s, budget, coarse, tol", [
     *[(shifted_sine_power(m), 30_000, 0, 1e-12) for m in range(8, 13)],
-    # a 5-fold zero 1.4e-4 from a simple one, and a 5-fold zero 1.3e-3
+    # a 4-fold zero 2.2e-4 from a simple one, and a 5-fold zero 1.3e-3
     # from a double one; criterion 1 asks for 1e-9, which one simple zero
     # of p18 misses at 4.5e-9
     (high_multiplicity_corpus(24, 6)[4], 150_000, 1, 1e-8),
