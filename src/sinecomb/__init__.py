@@ -14,11 +14,7 @@ from .factorize import (
     FactorConfig,
     FactorOutcome,
     FactorizationResult,
-    Progression,
-    detect_progressions,
     factor,
-    fit_exponential_prefactor,
-    progressions_to_sines,
 )
 from .growth import GrowthReport, growth_profile
 from .logderiv import (
@@ -60,7 +56,6 @@ __all__ = [
     "FactorizationResult",
     "GrowthReport",
     "LOWER",
-    "Progression",
     "Rect",
     "SineProduct",
     "Strip",
@@ -70,12 +65,10 @@ __all__ = [
     "contour_residue_check",
     "contour_residue_report",
     "count_zeros",
-    "detect_progressions",
     "expand_sine_product",
     "factor",
     "find_zeros",
     "find_zeros_report",
-    "fit_exponential_prefactor",
     "fourier_measure",
     "gaussian",
     "growth_profile",
@@ -85,7 +78,6 @@ __all__ = [
     "multiply",
     "poisson_check",
     "poisson_report",
-    "progressions_to_sines",
     "transform_c",
     "zero_strip_estimate",
     "zeros_to_csv",

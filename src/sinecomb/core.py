@@ -26,15 +26,21 @@ from .errors import CapacityError, EmptyPolynomialError, ZeroFreeError
 TWO_PI = 2.0 * math.pi
 
 #: Coefficients below this times max|coeff| are dropped after expansion.
-COEFF_PRUNE_REL = 1e-14
-#: Default cap on the number of terms an expansion may produce.
+EXPANSION_PRUNE_REL = 1e-14
+#: Cap on the number of terms an expansion may produce.
 EXPANSION_TERM_CAP = 4096
 
 
 def _canonical_terms(freqs, coeffs) -> tuple[tuple[float, complex], ...]:
-    """Sort by frequency, merge frequencies at the resolution, prune dust."""
+    """Sort by frequency, merge frequencies at the resolution, prune dust.
+
+    Raises CapacityError if a coefficient is not finite: the floor would be
+    too, and the pruning would leave the zero function.
+    """
     freqs, coeffs = freq.merge(freqs, coeffs)
-    floor = COEFF_PRUNE_REL * max(map(abs, coeffs), default=0.0)
+    if not all(map(cmath.isfinite, coeffs)):
+        raise CapacityError("a coefficient leaves the double range")
+    floor = EXPANSION_PRUNE_REL * max(map(abs, coeffs), default=0.0)
     return tuple((w, q) for w, q in zip(freqs, coeffs) if abs(q) > floor)
 
 
@@ -190,9 +196,11 @@ class ExpPolynomial:
         return ExpPolynomial(tuple((w, q * factor) for w, q in self.terms))
 
 
-def multiply(p1: ExpPolynomial, p2: ExpPolynomial,
-             term_cap: int = EXPANSION_TERM_CAP) -> ExpPolynomial:
-    """Product of two exponential polynomials with canonical merging."""
+def multiply(p1: ExpPolynomial, p2: ExpPolynomial) -> ExpPolynomial:
+    """Product of two exponential polynomials with canonical merging.
+
+    Raises CapacityError past EXPANSION_TERM_CAP terms.
+    """
     if not p1.terms or not p2.terms:
         return ExpPolynomial(())
     w1 = np.array([w for w, _ in p1.terms])
@@ -202,9 +210,9 @@ def multiply(p1: ExpPolynomial, p2: ExpPolynomial,
     freqs = (w1[:, None] + w2[None, :]).ravel()
     coeffs = (q1[:, None] * q2[None, :]).ravel()
     out = ExpPolynomial(_canonical_terms(freqs.tolist(), coeffs.tolist()))
-    if out.n_terms > term_cap:
-        raise CapacityError(
-            f"expansion produced {out.n_terms} terms, cap is {term_cap}")
+    if out.n_terms > EXPANSION_TERM_CAP:
+        raise CapacityError(f"expansion produced {out.n_terms} terms, "
+                            f"cap is {EXPANSION_TERM_CAP}")
     return out
 
 
@@ -274,8 +282,7 @@ class SineProduct:
         return acc
 
 
-def expand_sine_product(s: SineProduct,
-                        term_cap: int = EXPANSION_TERM_CAP) -> ExpPolynomial:
+def expand_sine_product(s: SineProduct) -> ExpPolynomial:
     """Exact exponential-polynomial expansion of a sine product.
 
     Each factor contributes frequencies +-alpha/(2*pi); the prefactor
@@ -286,7 +293,7 @@ def expand_sine_product(s: SineProduct,
     Raises
     ------
     CapacityError
-        If the expansion would exceed ``term_cap`` terms.
+        If the expansion would exceed EXPANSION_TERM_CAP terms.
     """
     out = ExpPolynomial.from_terms([(s.a / TWO_PI, s.C)])
     for alpha, beta, mult in s.factors:
@@ -295,7 +302,7 @@ def expand_sine_product(s: SineProduct,
             (alpha / TWO_PI, -0.5j * cmath.exp(1j * beta)),
         ])
         for _ in range(mult):
-            out = multiply(out, factor, term_cap)
+            out = multiply(out, factor)
     return out
 
 
@@ -315,7 +322,7 @@ class Strip:
             raise ValueError("strip margin eta must be positive")
 
 
-def zero_strip_estimate(p: ExpPolynomial, eta: float | None = None) -> Strip:
+def zero_strip_estimate(p: ExpPolynomial) -> Strip:
     """Dominant-term bound on the imaginary parts of all zeros of ``p``.
 
     For Im z above ``beta`` the lowest-frequency term dominates the rest of
@@ -341,6 +348,5 @@ def zero_strip_estimate(p: ExpPolynomial, eta: float | None = None) -> Strip:
     gap_hi = p.terms[-1][0] - p.terms[-2][0]
     y_plus = math.log(total / abs(p.terms[0][1])) / (TWO_PI * gap_lo)
     y_minus = math.log(total / abs(p.terms[-1][1])) / (TWO_PI * gap_hi)
-    if eta is None:
-        eta = 0.15 * (y_plus + y_minus) + 0.05
-    return Strip(alpha=-y_minus, beta=y_plus, eta=eta)
+    return Strip(alpha=-y_minus, beta=y_plus,
+                 eta=0.15 * (y_plus + y_minus) + 0.05)

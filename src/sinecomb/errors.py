@@ -43,18 +43,6 @@ class PreconditionError(SinecombError, ValueError):
     """An operation's documented precondition does not hold."""
 
 
-class NonRealZerosError(SinecombError):
-    """A zero measure expected to be real-supported has complex atoms."""
-
-
-class DecompositionFailureError(SinecombError):
-    """No arithmetic progression covering enough points could be fitted."""
-
-
-class PrefactorFitError(SinecombError):
-    """The zero-free quotient is not of the form C*exp(i*a*z)."""
-
-
 class StageError(SinecombError):
     """Wraps an error raised inside one stage of the factorization pipeline."""
 

@@ -23,6 +23,10 @@ from .errors import ParseError
 from .logderiv import DirichletCoefficients
 from .zeros import AtomicMeasure
 
+#: Moduli of 'coeff' and 'C' stay below this, so that the sums and
+#: quotients of a few coefficients stay inside the double range.
+COEFF_MAX = 2.0 ** 1000
+
 
 def format_float(x: float) -> str:
     if x == 0.0:
@@ -68,14 +72,19 @@ def _require(cond: bool, message: str):
 
 
 def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and math.isfinite(v)
+    try:
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the double range
+        return False
 
 
 def _as_complex(v, what: str) -> complex:
     _require(isinstance(v, (list, tuple)) and len(v) == 2
-             and all(isinstance(c, (int, float)) for c in v),
-             f"{what} must be a [re, im] pair")
-    return complex(v[0], v[1])
+             and all(_finite(c) for c in v),
+             f"{what} must be a [re, im] pair of finite numbers")
+    z = complex(v[0], v[1])
+    _require(abs(z) < COEFF_MAX, f"{what} must have modulus below 2^1000")
+    return z
 
 
 def parse_json(text: str):

@@ -276,8 +276,8 @@ def hankel_pencil(s: np.ndarray, k: int, level: float):
 
 
 def _newton_refine(p: ExpPolynomial, z0: complex, tol: float,
-                   escape: float, max_iter: int = 60, stall_ok: bool = False):
-    """Newton iteration z -> z - p/p' towards a simple zero.
+                   escape: float, stall_ok: bool = False):
+    """Newton iteration z -> z - p/p' towards a simple zero, at most 60 steps.
 
     Returns (z, converged).  With ``stall_ok``, steps that stop contracting
     at a small scale count as converged: a simple zero stagnates where a
@@ -287,7 +287,7 @@ def _newton_refine(p: ExpPolynomial, z0: complex, tol: float,
     z = z0
     prev_step = math.inf
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(60):
         pv, dv = p.scaled_values(z)
         if pv == 0:
             return z, True
@@ -683,7 +683,8 @@ def find_zeros_report(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
     Diagnostics report |p| residuals at the refined locations, any coarse
     atoms (one per cell that no clear line splits, placed on p^(n-1)),
     their radii (the cell's diagonal: the atom's zeros lie within it) and
-    the exit status.
+    the exit status.  A count above MOMENT_MAX / 2 * SCAN_CAP, past which
+    the top and bottom get no piece grid, raises CapacityError.
     """
     if p.n_terms == 0:
         raise EmptyPolynomialError("zero function")
@@ -710,6 +711,9 @@ def find_zeros_report(p: ExpPolynomial, rect: Rect, tol: float = 1e-12, *,
 
     search = _Search(p, work, tol)
     n_total = search.count(work)
+    if n_total > MOMENT_MAX // 2 * SCAN_CAP:
+        raise CapacityError(f"{n_total} zeros exceed the "
+                            f"{MOMENT_MAX // 2 * SCAN_CAP} a search resolves")
     raw: list[tuple[complex, int, float]] = []
     search.resolve_cell(work, n_total, raw)
 

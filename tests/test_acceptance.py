@@ -217,9 +217,6 @@ def test_criterion_9_invariant_suites():
             "test_necessity_on_random_products",
             "test_profile_monotone",
             "test_scaling_leaves_profile_unchanged"),
-        test_factorize.TestDetectProgressions: (
-            "test_translation_covariance",
-            "test_multiplicity_conservation"),
         test_factorize.TestFactor: (
             "test_round_trip_suite",
             "test_reconstruction_error_always_bounded"),

@@ -75,6 +75,19 @@ class TestZerosCommand:
         # JSON's NaN literal parses, but no frequency may be NaN
         bad.write_text('{"terms": [{"omega": NaN, "coeff": [1, 0]}]}')
         assert main(["logderiv", "--input", str(bad)]) == 4
+        # nor any coefficient NaN, infinite or an integer beyond the double
+        # range; the error names the field
+        capsys.readouterr()
+        for text, field in [
+                ('{"terms": [{"omega": 0, "coeff": [NaN, 0]},'
+                 ' {"omega": 1, "coeff": [1, 0]}]}', "'coeff'"),
+                ('{"C": [Infinity, 0], "factors":'
+                 ' [{"alpha": 3.14, "beta": 0, "mult": 1}]}', "'C'"),
+                ('{"terms": [{"omega": 0, "coeff": [1%s, 0]}]}' % ("0" * 400),
+                 "'coeff'")]:
+            bad.write_text(text)
+            assert main(["criterion", "--input", str(bad)]) == 4
+            assert f"{field} must be" in capsys.readouterr().err
 
     def test_missing_input_exit_4(self, tmp_path):
         code = main(["zeros", "--input", str(tmp_path / "nope.json"),
@@ -252,6 +265,43 @@ class TestOtherCommands:
         assert main([]) == 5
 
 
+def _terms_file(tmp_path, terms):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"terms": [{"omega": w, "coeff": [q.real, q.imag]}
+                                       for w, q in terms]}))
+    return str(f)
+
+
+class TestInputRange:
+    @pytest.mark.parametrize("command", ["logderiv", "poisson"])
+    def test_moduli_near_the_double_range_exit_4(self, command, tmp_path,
+                                                 capsys):
+        f = _terms_file(tmp_path, [(0.0, 1e308 * (1 + 1j)), (1.0, 1e308)])
+        assert main([command, "--input", f]) == 4
+        assert "modulus below 2^1000" in capsys.readouterr().err
+        f = _terms_file(tmp_path, [(0.0, 3e300 * (1 + 1j) / 2 ** 0.5),
+                                   (1.0, 3e300)])
+        assert main([command, "--input", f]) == 0
+
+    def test_derivative_leaving_the_double_range_exit_6(self, tmp_path, capsys):
+        # the zero search's p^(n-1) overflows; it came back as the zero
+        # function and crashed the coarse atom's Newton step
+        f = _terms_file(tmp_path, [(-3.0, 1e-300 - 1.4801j),
+                                   (0.63445, 1e300 + 1.29998j),
+                                   (-1000.0, 1e300), (1e-9, 1e300 + 1.03918j)])
+        assert main(["poisson", "--input", f]) == 6
+        assert "double range" in capsys.readouterr().err
+
+    def test_unresolvable_count_exit_6(self, tmp_path, capsys):
+        # 3e9 zeros on the default window: counted at once, never resolved
+        f = _terms_file(tmp_path, [(0.0, 1.0), (1.0, -1.1118 + 0.8791j),
+                                   (1e8, 1.3802j)])
+        start = time.perf_counter()
+        assert main(["poisson", "--input", f]) == 6
+        assert time.perf_counter() - start < 5.0
+        assert "3000000000 zeros" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, fourcos_file, capsys):
         main(["fourier", "--input", fourcos_file, "--gamma-max", "6"])
@@ -337,3 +387,23 @@ def test_zero_searches_never_crash_on_small_inputs(tmp_path_factory, w0, gaps,
         code, err = _run(command + ["--input", str(f)])
         assert code in (0, 1, 4, 5, 6)
         assert "Traceback" not in err
+
+
+COMMANDS = (["zeros", "--rect=-3,3,-1,1"], ["logderiv"], ["fourier"],
+            ["criterion"], ["poisson"], ["factor"])
+modulus = st.one_of(st.just(1e-300), st.floats(0.1, 10.0), st.just(1e300))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(COMMANDS),
+       terms=st.lists(st.tuples(st.floats(-3.0, 3.0), modulus,
+                                st.floats(-PI, PI)), min_size=2, max_size=4))
+def test_cli_contract(tmp_path_factory, command, terms):
+    # moduli from 1e-300 to 1e300: an answer, the negative verdict of
+    # factor, or a typed error; main lets no exception escape
+    f = tmp_path_factory.getbasetemp() / "contract.json"
+    f.write_text(json.dumps({"terms": [
+        {"omega": w, "coeff": [r * math.cos(t), r * math.sin(t)]}
+        for w, r, t in terms]}))
+    code, _ = _run(command + ["--input", str(f)])
+    assert code in (0, 1, 4, 5, 6)

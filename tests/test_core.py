@@ -197,3 +197,16 @@ class TestInvariants:
     def test_prune_threshold(self):
         p = ExpPolynomial.from_terms([(0.0, 1.0), (1.0, 1e-16)])
         assert p.n_terms == 1
+
+    @pytest.mark.parametrize("q", [math.inf, complex(1.0, math.nan),
+                                   complex(-math.inf, 1.0)])
+    def test_non_finite_coefficient_raises(self, q):
+        # a non-finite max|q| would prune every term to the zero function
+        with pytest.raises(CapacityError):
+            ExpPolynomial.from_terms([(0.0, 1.0), (1.0, q)])
+
+    def test_derivative_leaving_the_double_range_raises(self):
+        p = ExpPolynomial.from_terms([(-1e6, 1e300), (1.0, 1e300)])
+        assert p.derivative().n_terms == 2  # 2 pi * 1e6 * 1e300 < 1.8e308
+        with pytest.raises(CapacityError):
+            p.derivative().derivative()

@@ -1,6 +1,5 @@
-"""Progression detection, prefactor fitting, and the factorization pipeline."""
+"""The factorization pipeline."""
 
-import cmath
 import math
 import time
 
@@ -11,33 +10,15 @@ import sinecomb.factorize
 from sinecomb import (
     ExpPolynomial,
     FactorConfig,
-    Progression,
-    Rect,
     SineProduct,
-    detect_progressions,
     expand_sine_product,
     factor,
-    find_zeros,
-    fit_exponential_prefactor,
-    progressions_to_sines,
 )
-from sinecomb.errors import (
-    DecompositionFailureError,
-    NonRealZerosError,
-    PreconditionError,
-    PrefactorFitError,
-    StageError,
-)
-from sinecomb.zeros import AtomicMeasure
+from sinecomb.errors import PreconditionError, StageError
 
 from conftest import random_sine_product
 
 PI = math.pi
-
-
-def unit_comb(n_max, mass=1):
-    return AtomicMeasure.from_atoms((complex(n), mass)
-                                    for n in range(-n_max, n_max + 1))
 
 
 def factor_window(s: SineProduct) -> tuple[float, float]:
@@ -78,137 +59,6 @@ def lee_yang(a: float, ell: float) -> ExpPolynomial:
     """1 + a e(x) + a e(ell x) + e((1 + ell) x), e(x) = exp(2 pi i x)."""
     return ExpPolynomial.from_terms([(0.0, 1.0), (1.0, a), (ell, a),
                                      (1.0 + ell, 1.0)])
-
-
-class TestDetectProgressions:
-    def test_unit_integers(self):
-        progs, resid = detect_progressions(unit_comb(10), (-10.0, 10.0))
-        assert resid == []
-        assert len(progs) == 1
-        assert abs(progs[0].d - 1.0) < 1e-9
-        assert abs(progs[0].c) < 1e-9
-        assert progs[0].mult == 1
-
-    def test_double_masses(self):
-        progs, resid = detect_progressions(unit_comb(10, mass=2), (-10.0, 10.0))
-        assert resid == []
-        assert progs == [Progression(progs[0].d, progs[0].c, 2)]
-
-    def test_two_lattices(self, two_lattice_product):
-        p = expand_sine_product(two_lattice_product)
-        zeros = find_zeros(p, Rect(-15, 15, -0.6, 0.6))
-        progs, resid = detect_progressions(zeros, (-15.0, 15.0))
-        assert resid == []
-        assert len(progs) == 2
-        steps = sorted(pr.d for pr in progs)
-        assert abs(steps[0] - 1 / math.sqrt(2)) < 1e-8
-        assert abs(steps[1] - 1.0) < 1e-8
-        offset = next(pr.c for pr in progs if pr.d < 0.9)
-        expected = (-0.3 / (math.sqrt(2) * PI)) % (1 / math.sqrt(2))
-        assert abs(offset - expected) < 1e-8
-
-    def test_overlapping_lattices_mass_accounting(self):
-        # zeros of sin(pi z) * sin(2 pi z): integers carry both progressions
-        atoms = {}
-        for n in range(-16, 17):
-            atoms[n / 2.0] = atoms.get(n / 2.0, 0) + 1
-        for n in range(-8, 9):
-            atoms[float(n)] = atoms[float(n)] + 1
-        measure = AtomicMeasure.from_atoms(
-            (complex(x), m) for x, m in atoms.items())
-        progs, resid = detect_progressions(measure, (-8.0, 8.0))
-        assert resid == []
-        assert sorted((round(pr.d, 9), pr.mult) for pr in progs) == \
-            [(0.5, 1), (1.0, 1)]
-
-    def test_complex_zero_rejected(self):
-        m = AtomicMeasure.from_atoms(
-            [(complex(n, 0.2), 1) for n in range(-6, 7)])
-        with pytest.raises(NonRealZerosError):
-            detect_progressions(m, (-6.0, 6.0))
-
-    def test_too_few_atoms(self):
-        with pytest.raises(PreconditionError):
-            detect_progressions(unit_comb(2), (-2.0, 2.0))
-
-    def test_no_progression_found(self):
-        rng = np.random.default_rng(5)
-        pts = np.cumsum(0.5 + rng.random(9))
-        m = AtomicMeasure.from_atoms((complex(x), 1) for x in pts)
-        with pytest.raises(DecompositionFailureError):
-            detect_progressions(m, (float(pts[0]), float(pts[-1])))
-
-    def test_translation_covariance(self, two_lattice_product):
-        p = expand_sine_product(two_lattice_product)
-        zeros = find_zeros(p, Rect(-15, 15, -0.6, 0.6))
-        progs, _ = detect_progressions(zeros, (-15.0, 15.0))
-        t = 0.377
-        shifted = AtomicMeasure.from_atoms(
-            (loc + t, mass) for loc, mass in zeros.atoms)
-        progs_t, _ = detect_progressions(shifted, (-15.0 + t, 15.0 + t))
-        assert len(progs) == len(progs_t)
-        for pr, pr_t in zip(sorted(progs, key=lambda q: q.d),
-                            sorted(progs_t, key=lambda q: q.d)):
-            assert abs(pr.d - pr_t.d) < 1e-8
-            assert abs((pr.c + t - pr_t.c) % pr.d) < 1e-6 \
-                or abs((pr.c + t - pr_t.c) % pr.d - pr.d) < 1e-6
-            assert pr.mult == pr_t.mult
-
-    def test_multiplicity_conservation(self, two_lattice_product):
-        p = expand_sine_product(two_lattice_product)
-        zeros = find_zeros(p, Rect(-15, 15, -0.6, 0.6))
-        progs, resid = detect_progressions(zeros, (-15.0, 15.0))
-        for loc, mass in zeros.atoms:
-            covered = sum(
-                pr.mult for pr in progs
-                if abs((loc.real - pr.c) % pr.d) < 2e-6
-                or abs((loc.real - pr.c) % pr.d - pr.d) < 2e-6)
-            covered += sum(1 for r in resid if abs(r - loc.real) < 1e-9)
-            assert covered == mass
-
-
-class TestProgressionsToSines:
-    def test_unit_step(self):
-        assert progressions_to_sines([Progression(1.0, 0.0, 1)]) == [(PI, 0.0, 1)]
-
-    def test_quarter_offset(self):
-        # sin(pi z + 3 pi/4) vanishes at z = 1/4 mod 1
-        [(alpha, beta, mult)] = progressions_to_sines([Progression(1.0, 0.25, 1)])
-        assert abs(alpha - PI) < 1e-15
-        assert abs(beta - 3 * PI / 4) < 1e-12
-        assert mult == 1
-        assert abs(math.sin(alpha * 0.25 + beta)) < 1e-12
-
-    def test_forward_backward_consistency(self):
-        d = 1 / math.sqrt(2)
-        c = (-0.3 / (math.sqrt(2) * PI)) % d
-        [(alpha, beta, _)] = progressions_to_sines([Progression(d, c, 1)])
-        assert abs(alpha - math.sqrt(2) * PI) < 1e-12
-        assert abs(beta - 0.3) < 1e-9
-
-
-class TestPrefactorFit:
-    def test_plain_sine(self, sin_poly):
-        C, a, residual = fit_exponential_prefactor(sin_poly, [(PI, 0.0, 1)])
-        assert abs(C - 1.0) < 1e-10
-        assert abs(a) < 1e-10
-        assert residual <= 1e-10
-
-    def test_scaled_modulated(self):
-        p = expand_sine_product(
-            SineProduct.from_factors(2.5, 1.0, [(PI, 0.0, 1)]))
-        C, a, _ = fit_exponential_prefactor(p, [(PI, 0.0, 1)])
-        assert abs(C - 2.5) < 1e-8
-        assert abs(a - 1.0) < 1e-8
-
-    def test_wrong_offset_raises(self, sin_poly):
-        with pytest.raises(PrefactorFitError):
-            fit_exponential_prefactor(sin_poly, [(PI, 0.5, 1)])
-
-    def test_single_exponential_degenerate(self):
-        p = ExpPolynomial.from_terms([(0.5, 3j)])
-        C, a, residual = fit_exponential_prefactor(p, [])
-        assert C == 3j and abs(a - PI) < 1e-15 and residual == 0.0
 
 
 class TestFactor:
@@ -337,9 +187,7 @@ class TestFactor:
         def refuse(*args, **kwargs):
             raise AssertionError("factor took the zero-comb route")
 
-        for name in ("find_zeros", "detect_progressions",
-                     "progressions_to_sines", "fit_exponential_prefactor"):
-            monkeypatch.setattr(sinecomb.factorize, name, refuse)
+        monkeypatch.setattr(sinecomb.factorize, "find_zeros", refuse)
         out = factor(expand_sine_product(two_lattice_product))
         assert out.verdict == "sine_product"
         assert_products_close(out.result.product, two_lattice_product)
