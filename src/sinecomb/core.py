@@ -25,23 +25,36 @@ from .errors import CapacityError, EmptyPolynomialError, ZeroFreeError
 
 TWO_PI = 2.0 * math.pi
 
-#: Coefficients below this times max|coeff| are dropped after expansion.
+#: Coefficients below this times max|coeff| are dropped after a product or
+#: a derivative, as their rounding dust; input terms are all kept.
 EXPANSION_PRUNE_REL = 1e-14
+#: Largest ratio of two coefficients of one function: every stage divides
+#: one coefficient by another, and the headroom below the double range
+#: leaves room for the factors, such as 2*pi*omega, that scale a quotient.
+RATIO_MAX = 2.0 ** 1000
 #: Cap on the number of terms an expansion may produce.
 EXPANSION_TERM_CAP = 4096
 
 
-def _canonical_terms(freqs, coeffs) -> tuple[tuple[float, complex], ...]:
-    """Sort by frequency, merge frequencies at the resolution, prune dust.
+def _canonical_terms(freqs, coeffs, prune: bool = False
+                     ) -> tuple[tuple[float, complex], ...]:
+    """Sort by frequency, merge frequencies at the resolution and drop zero
+    coefficients; with ``prune``, also the dust at most EXPANSION_PRUNE_REL
+    times the largest coefficient.
 
-    Raises CapacityError if a coefficient is not finite: the floor would be
-    too, and the pruning would leave the zero function.
+    Raises CapacityError if a coefficient is not finite (a pruning floor
+    would be non-finite too and leave the zero function), or if the largest
+    kept coefficient exceeds the least by more than RATIO_MAX.
     """
     freqs, coeffs = freq.merge(freqs, coeffs)
     if not all(map(cmath.isfinite, coeffs)):
         raise CapacityError("a coefficient leaves the double range")
-    floor = EXPANSION_PRUNE_REL * max(map(abs, coeffs), default=0.0)
-    return tuple((w, q) for w, q in zip(freqs, coeffs) if abs(q) > floor)
+    size = max(map(abs, coeffs), default=0.0)
+    floor = EXPANSION_PRUNE_REL * size if prune else 0.0
+    terms = tuple((w, q) for w, q in zip(freqs, coeffs) if abs(q) > floor)
+    if terms and not size / min(abs(q) for _, q in terms) <= RATIO_MAX:
+        raise CapacityError("the coefficients' ratio exceeds 2^1000")
+    return terms
 
 
 @dataclass(frozen=True)
@@ -185,10 +198,11 @@ class ExpPolynomial:
         return log_p.reshape(z.shape), log_scale.reshape(z.shape)
 
     def derivative(self) -> "ExpPolynomial":
-        """Termwise derivative; the omega = 0 term drops out."""
-        return ExpPolynomial.from_terms(
-            (w, (1j * TWO_PI * w) * q) for w, q in self.terms if w != 0.0
-        )
+        """Termwise derivative; the omega = 0 term drops out, and so does
+        dust at most EXPANSION_PRUNE_REL times the largest new coefficient."""
+        terms = [(w, (1j * TWO_PI * w) * q) for w, q in self.terms if w != 0.0]
+        return ExpPolynomial(_canonical_terms([w for w, _ in terms],
+                                              [q for _, q in terms], prune=True))
 
     def scaled(self, factor: complex) -> "ExpPolynomial":
         if factor == 0:
@@ -197,7 +211,8 @@ class ExpPolynomial:
 
 
 def multiply(p1: ExpPolynomial, p2: ExpPolynomial) -> ExpPolynomial:
-    """Product of two exponential polynomials with canonical merging.
+    """Product of two exponential polynomials with canonical merging and
+    the rounding dust pruned (EXPANSION_PRUNE_REL).
 
     Raises CapacityError past EXPANSION_TERM_CAP terms.
     """
@@ -209,7 +224,7 @@ def multiply(p1: ExpPolynomial, p2: ExpPolynomial) -> ExpPolynomial:
     q2 = np.array([q for _, q in p2.terms])
     freqs = (w1[:, None] + w2[None, :]).ravel()
     coeffs = (q1[:, None] * q2[None, :]).ravel()
-    out = ExpPolynomial(_canonical_terms(freqs.tolist(), coeffs.tolist()))
+    out = ExpPolynomial(_canonical_terms(freqs.tolist(), coeffs.tolist(), prune=True))
     if out.n_terms > EXPANSION_TERM_CAP:
         raise CapacityError(f"expansion produced {out.n_terms} terms, "
                             f"cap is {EXPANSION_TERM_CAP}")

@@ -111,16 +111,17 @@ def _validity_height(gammas, coeffs) -> float:
         return float((size * np.exp(rate * y)).sum()) > 0.5
 
     lo, hi = 0.0, 1.0
-    while not above(lo):
-        hi, lo = lo, lo - max(1.0, abs(lo))
-        if lo < -1e6:
-            return lo
-    while above(hi):
-        lo, hi = hi, hi + max(1.0, hi)
-        if hi > 1e6:
-            raise PreconditionError("no finite validity height")
-    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until no double lies between
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    with np.errstate(over="ignore"):  # a term past the double range is above
+        while not above(lo):
+            hi, lo = lo, lo - max(1.0, abs(lo))
+            if lo < -1e6:
+                return lo
+        while above(hi):
+            lo, hi = hi, hi + max(1.0, hi)
+            if hi > 1e6:
+                raise PreconditionError("no finite validity height")
+        while lo < (mid := 0.5 * (lo + hi)) < hi:  # until no double lies between
+            lo, hi = (mid, hi) if above(mid) else (lo, mid)
     return hi
 
 
@@ -148,7 +149,10 @@ class CoefficientSweep:
         self.h0 = 1j * TWO_PI * omega0
         self.d = np.array([w - omega0 for w, _ in p.terms[1:]])
         self.c = np.array([q / q0 for _, q in p.terms[1:]])
-        self.gp = (1j * TWO_PI) * self.d * self.c
+        with np.errstate(over="ignore"):
+            self.gp = (1j * TWO_PI) * self.d * self.c
+        if not np.isfinite(self.gp).all():
+            raise CapacityError("a coefficient of g' leaves the double range")
         self.d_min = float(self.d[0]) if len(self.d) else math.inf
         self.y_v = _validity_height(self.d, self.c) if len(self.d) else -math.inf
         self._rows, self._edges = np.arange(len(self.d))[:, None], np.empty((2, 1))

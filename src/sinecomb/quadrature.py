@@ -55,24 +55,28 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def integrate_segment(f, a: complex | np.ndarray, b: complex | np.ndarray,
                       abs_tol: float, max_panels: int = 8000,
-                      errors: np.ndarray | None = None
-                      ) -> tuple[complex | np.ndarray, float]:
+                      errors: np.ndarray | None = None,
+                      frames: tuple[complex | np.ndarray, float | np.ndarray, int]
+                      | None = None) -> tuple[complex | np.ndarray, float]:
     """Integrate ``f`` along the straight segments from ``a`` to ``b``.
 
     ``a`` and ``b`` are complex scalars (one segment) or 1-D arrays of S
     segment ends; all segments are refined in one loop, so the edges of a
-    contour share one pass.  ``f`` takes a complex ndarray of nodes and
-    returns either an array of the same shape (one integrand) or a
-    (K, nodes) array (K integrands on the same nodes, such as the contour
-    moments of ``zeros``).  Each segment keeps its own panels: a panel is
-    split while its K15/G7 discrepancy, the largest over the K rows,
-    exceeds the share of ``abs_tol`` proportional to its length in the
-    segment's parameter, and each segment has its own budget of
-    ``max_panels``.  When a segment's budget runs out (a pole hugging the
-    path, or an integrand noise floor above the tolerance) every panel of
-    its last level is still summed and the remaining discrepancy is
-    reported in the error estimate rather than raised, so callers gate on
-    the estimate; the other segments refine on.
+    contour, or of many contours, share one pass.  ``f`` takes a complex
+    ndarray of nodes and returns either an array of the same shape (one
+    integrand) or a (K, nodes) array (K integrands on the same nodes).
+    With ``frames`` = (centres, scales, K) the integrands are the K rows
+    phi^k f(z), k < K, in each segment's own frame phi = (z - c)/r, its
+    centre c and scale r broadcast against the segments (the contour
+    moments of ``zeros``); ``f`` still sees the nodes alone.  Each segment
+    keeps its own panels: a panel is split while its K15/G7 discrepancy,
+    the largest over the K rows, exceeds the share of ``abs_tol``
+    proportional to its length in the segment's parameter, and each segment
+    has its own budget of ``max_panels``.  When a segment's budget runs out
+    (a pole hugging the path, or an integrand noise floor above the
+    tolerance) every panel of its last level is still summed and the
+    remaining discrepancy is reported in the error estimate rather than
+    raised, so callers gate on the estimate; the other segments refine on.
 
     Returns (values, error estimate).  The values have a last axis of S
     segments, preceded by K for K rows, and drop it for scalar ends; the
@@ -90,6 +94,20 @@ def integrate_segment(f, a: complex | np.ndarray, b: complex | np.ndarray,
                                np.atleast_1d(np.asarray(b, dtype=complex)))
     n_seg = a.size
     dz = b - a
+    if frames is not None:
+        centres, scales, rows = frames
+        centres = np.full(n_seg, centres, dtype=complex)
+        # numpy divides by r + 0i as a product with 1/r: the same bits, cheaper
+        inverse = 1.0 / np.full(n_seg, scales, dtype=float)
+
+    def integrand(z: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """The rows at the nodes ``z`` (panels, 15) of the segments ``i``."""
+        if frames is None:
+            return np.asarray(f(z.ravel()))
+        out = np.empty((rows, z.size), dtype=complex)
+        out[0] = f(z.ravel())
+        out[1:] = ((z - centres[i][:, None]) * inverse[i][:, None]).ravel()
+        return np.cumprod(out, axis=0, out=out)
 
     # panels [ta, ta + 2 half] of the current level of every live segment, all
     # of one length; panels of one segment stay adjacent and in order of t
@@ -109,7 +127,7 @@ def integrate_segment(f, a: complex | np.ndarray, b: complex | np.ndarray,
             # nodes a + dz*t from their real parameters t in [0, 1]: a node's
             # rounding depends on its t alone, not on a rounded panel centre too
             t = (ta[s] + half)[:, None] + half * X
-            fz = np.asarray(f((a[i, None] + dz[i, None] * t).ravel()))
+            fz = integrand(a[i, None] + dz[i, None] * t, i)
             vector = fz.ndim == 2
             parts.append((fz.reshape(-1, X.size) @ W).reshape(-1, len(t), 2))
         sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
@@ -139,7 +157,7 @@ def integrate_segment(f, a: complex | np.ndarray, b: complex | np.ndarray,
 
     if not settled:
         # no segment has length: one call on no nodes gives the row count
-        fz = np.asarray(f(np.empty(0, dtype=complex)))
+        fz = integrand(np.empty((0, X.size), dtype=complex), seg)
         vector = fz.ndim == 2
         total = np.zeros((n_seg, fz.shape[0] if vector else 1), dtype=complex)
     else:

@@ -12,7 +12,9 @@ Hankel pencil locates them, a Vandermonde solve gives their
 multiplicities, and Newton's method polishes each one.  Only the distinct
 zeros are bounded, so a cluster of high multiplicity resolves at once
 (Kravanja, Sakurai & Van Barel, BIT 39, 1999).  Gates on the quadrature's
-own error estimate decide whether the result stands.
+own error estimate decide whether the result stands.  The moments of all
+cells of a level with one row count are integrated in one quadrature pass,
+each edge in its own cell's phi.
 
 Splitting.  A cell that fails a gate, or is wider than the zero band and
 holds more than MOMENT_MAX zeros, is split across its longer side
@@ -494,25 +496,33 @@ class _Search:
 
     # -- moment stage -----------------------------------------------------------
 
-    def _moments(self, rect: Rect, rows: int) -> tuple[np.ndarray, float]:
-        """s_k = (1/2*pi*i) contour integral of phi^k p'/p for k < rows, with
+    def _moments(self, cells: list[tuple[Rect, int]]) -> list[tuple[np.ndarray, float]]:
+        """(s, noise) of each (cell, n) of ``cells``: s_k = (1/2*pi*i)
+        contour integral of phi^k p'/p for k < 2*min(n, MOMENT_MAX), with
         phi = (z - c)/r on the cell's centre c and half-diagonal r, so that
-        |phi| <= 1 on the boundary; returns (s, noise), where noise bounds
-        the error of every s_k by the quadrature's own estimate."""
-        c = rect.center
-        r = 0.5 * math.hypot(rect.width, rect.height)
-
-        def integrand(z):
-            out = np.empty((rows, z.size), dtype=complex)
-            out[0] = self.p.log_ratio(z)
-            out[1:] = (z - c) / r
-            return np.cumprod(out, axis=0, out=out)
-
-        a, b = np.array(rect.edges).T
-        values, err = integrate_segment(integrand, a, b, MOMENT_TOL,
-                                        max_panels=MOMENT_PANELS)
-        return (values.sum(axis=1) / (2j * math.pi),
-                err / (2.0 * math.pi) + MOMENT_ROUNDING)
+        |phi| <= 1 on the boundary, and noise, which bounds the error of
+        every s_k by the quadrature's own estimate.  The edges of all cells
+        of one row count are integrated in one quadrature pass; an edge's
+        integral does not depend on the others in it."""
+        out: list[tuple[np.ndarray, float]] = [None] * len(cells)
+        groups: dict[int, list[int]] = {}
+        for j, (_, n) in enumerate(cells):
+            groups.setdefault(2 * min(n, MOMENT_MAX), []).append(j)
+        for rows, group in groups.items():
+            rects = [cells[j][0] for j in group]
+            a, b = np.array([edge for rect in rects for edge in rect.edges]).T
+            centres = np.repeat([rect.center for rect in rects], 4)
+            scales = np.repeat([0.5 * math.hypot(rect.width, rect.height)
+                                for rect in rects], 4)
+            errors = np.empty(a.size)
+            values, _ = integrate_segment(self.p.log_ratio, a, b, MOMENT_TOL,
+                                          max_panels=MOMENT_PANELS, errors=errors,
+                                          frames=(centres, scales, rows))
+            moments = values.reshape(rows, -1, 4).sum(axis=2) / (2j * math.pi)
+            noise = errors.reshape(-1, 4).sum(axis=1) / (2.0 * math.pi) + MOMENT_ROUNDING
+            for col, j in enumerate(group):
+                out[j] = (moments[:, col], float(noise[col]))
+        return out
 
     def _newton_noise(self, z: complex, mult: int) -> float:
         """Distance to which Newton's method can place an m-fold zero near
@@ -550,9 +560,11 @@ class _Search:
             return z, spread
         return None
 
-    def resolve_by_moments(self, rect: Rect, n: int, atoms: list) -> bool:
-        """Resolve a cell holding n >= 1 zeros from its moments (Delves &
-        Lyness 1967; Kravanja & Van Barel 2000).
+    def resolve_by_moments(self, rect: Rect, n: int, s: np.ndarray, noise: float,
+                           atoms: list) -> bool:
+        """Resolve a cell holding n >= 1 zeros from its moments ``s`` and
+        their ``noise``, as _moments gives them (Delves & Lyness 1967;
+        Kravanja & Van Barel 2000).
 
         With distinct zeros phi_j of multiplicities m_j, s_k = sum_j m_j
         phi_j^k: the rank of the k x k Hankel matrix [s_(i+j)],
@@ -568,7 +580,6 @@ class _Search:
         moment; otherwise nothing is appended and False is returned.
         """
         k = min(n, MOMENT_MAX)
-        s, noise = self._moments(rect, 2 * k)
         if noise > RANK_GAP * MOMENT_TOL:
             # an edge ran through the rounding noise of a multiple zero;
             # every later gate scales with this noise, so all would pass
@@ -619,20 +630,19 @@ class _Search:
         & Van Barel 1999), so Newton's method on p^(n-1) from the cell's
         centre places it, or the centre does where Newton's leaves the cell.
 
-        The cell tree is walked level by level: the midpoint lines of all
-        of a level's splits are scanned in one batch, and their new sides
-        are integrated in one quadrature pass; neither a sample nor a side
-        depends on the others in its batch."""
+        The cell tree is walked level by level: the moments of all of a
+        level's cells that try them come first, one quadrature pass per row
+        count (_moments); then the midpoint lines of all of the level's
+        splits are scanned in one batch, and their new sides are integrated
+        in one quadrature pass.  Neither a sample nor an edge depends on
+        the others in its batch."""
         level = [(rect, n)]
         while level:
-            to_split = []
-            for cell, n in level:
-                if n == 0:
-                    continue
-                wide = n > MOMENT_MAX and cell.width > self.slab_floor
-                if not wide and self.resolve_by_moments(cell, n, atoms):
-                    continue
-                to_split.append((cell, n))
+            level = [(cell, n) for cell, n in level if n]
+            wide = [n > MOMENT_MAX and cell.width > self.slab_floor for cell, n in level]
+            moments = iter(self._moments([c for c, w in zip(level, wide) if not w]))
+            to_split = [(cell, n) for (cell, n), w in zip(level, wide)
+                        if w or not self.resolve_by_moments(cell, n, *next(moments), atoms)]
             split = []
             for (cell, n), halves in zip(to_split, self._halves([c for c, _ in to_split])):
                 if halves is None:

@@ -292,6 +292,29 @@ class TestInputRange:
         assert main(["poisson", "--input", f]) == 6
         assert "double range" in capsys.readouterr().err
 
+    def test_terms_spanning_many_decades_are_kept(self, tmp_path, capsys):
+        # p = 1 + 1e15 e(z) has a simple zero at every x = k + 1/2 on
+        # y = ln(1e15) / 2 pi; the 1 was dropped as dust, and factor called
+        # the rest a sine product with no factors
+        f = _terms_file(tmp_path, [(0.0, 1.0), (1.0, 1e15)])
+        assert main(["factor", "--input", f]) == 1
+        assert json.loads(capsys.readouterr().out)["verdict"] == "not_sine_product"
+        assert main(["zeros", "--input", f, "--rect=-3,3,-1,8"]) == 0
+        atoms = json.loads(capsys.readouterr().out)["atoms"]
+        assert len(atoms) == 6
+        for k, atom in zip(range(-3, 3), atoms):
+            assert atom["multiplicity"] == 1
+            assert abs(complex(atom["x"], atom["y"])
+                       - complex(k + 0.5, math.log(1e15) / (2 * math.pi))) <= 1e-9
+        # a ratio past 2^1000 is a typed error, not a single exponential,
+        # and so is a quotient that 2 pi omega carries past the double range
+        f = _terms_file(tmp_path, [(0.0, 1e-300), (1.0, 1e300)])
+        assert main(["poisson", "--input", f]) == 6
+        assert "ratio exceeds 2^1000" in capsys.readouterr().err
+        f = _terms_file(tmp_path, [(0.0, 1.0), (1e9, 1e300)])
+        assert main(["logderiv", "--input", f]) == 6
+        assert "leaves the double range" in capsys.readouterr().err
+
     def test_unresolvable_count_exit_6(self, tmp_path, capsys):
         # 3e9 zeros on the default window: counted at once, never resolved
         f = _terms_file(tmp_path, [(0.0, 1.0), (1.0, -1.1118 + 0.8791j),

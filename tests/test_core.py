@@ -14,6 +14,7 @@ from sinecomb import (
     find_zeros,
     zero_strip_estimate,
 )
+from sinecomb.core import multiply
 from sinecomb.errors import CapacityError, EmptyPolynomialError, ZeroFreeError
 
 from conftest import random_sine_product
@@ -195,8 +196,19 @@ class TestInvariants:
         assert ExpPolynomial.from_terms([(1.0, 1.0), (1.0 + 3e-9, 1.0)]).n_terms == 2
 
     def test_prune_threshold(self):
+        # input terms are all kept; a product or a derivative drops the dust
+        # at most EXPANSION_PRUNE_REL times its largest coefficient
         p = ExpPolynomial.from_terms([(0.0, 1.0), (1.0, 1e-16)])
-        assert p.n_terms == 1
+        assert p.n_terms == 2
+        assert multiply(p, ExpPolynomial.from_terms([(0.0, 1.0)])).n_terms == 1
+        # the derivative's coefficients 2 pi i omega q: 2e-14 and 4e-15 of the largest
+        assert ExpPolynomial.from_terms([(1.0, 1.0), (2.0, 1e-14)]).derivative().n_terms == 2
+        assert ExpPolynomial.from_terms([(1.0, 1.0), (2.0, 2e-15)]).derivative().n_terms == 1
+
+    def test_coefficient_ratio_beyond_the_bound_raises(self):
+        ExpPolynomial.from_terms([(0.0, 1e-150), (1.0, 1e150)])
+        with pytest.raises(CapacityError):
+            ExpPolynomial.from_terms([(0.0, 1e-300), (1.0, 1e300)])
 
     @pytest.mark.parametrize("q", [math.inf, complex(1.0, math.nan),
                                    complex(-math.inf, 1.0)])

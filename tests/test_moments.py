@@ -24,7 +24,8 @@ from sinecomb import (
 )
 import sinecomb.zeros
 from sinecomb.quadrature import integrate_segment
-from sinecomb.zeros import CLUSTER_TOL, MOMENT_MAX, _boundary_ok, _Search
+from sinecomb.zeros import (CLUSTER_TOL, MOMENT_MAX, MOMENT_PANELS, MOMENT_ROUNDING,
+                            MOMENT_TOL, _boundary_ok, _Search)
 
 from conftest import random_sine_product
 from test_factorize import assert_factors_fast, assert_products_close
@@ -245,7 +246,9 @@ def test_moment_stage_matches_mpmath(seed, x0, width):
     n = count_zeros(p, rect)
     assume(2 <= n <= MOMENT_MAX)
     atoms = []
-    accepted = _Search(p, rect, 1e-12).resolve_by_moments(rect, n, atoms)
+    search = _Search(p, rect, 1e-12)
+    (s, noise), = search._moments([(rect, n)])
+    accepted = search.resolve_by_moments(rect, n, s, noise, atoms)
     assume(accepted)
     assert sum(m for _, m, _ in atoms) == n
     for z, _, radius in atoms:
@@ -266,6 +269,57 @@ def test_high_multiplicity_clusters_factor(i):
     assert_products_close(out.result.product, s)
 
 
+def _one_cell_moments(p, rect, n, errors):
+    """(s, noise) of one cell from its own integrate_segment call, whose
+    integrand builds the rows phi^k p'/p itself; ``errors`` receives the
+    four edges' error estimates."""
+    rows = 2 * min(n, MOMENT_MAX)
+    c = rect.center
+    r = 0.5 * math.hypot(rect.width, rect.height)
+
+    def integrand(z):
+        out = np.empty((rows, z.size), dtype=complex)
+        out[0] = p.log_ratio(z)
+        out[1:] = (z - c) / r
+        return np.cumprod(out, axis=0, out=out)
+
+    a, b = np.array(rect.edges).T
+    values, err = integrate_segment(integrand, a, b, MOMENT_TOL,
+                                    max_panels=MOMENT_PANELS, errors=errors)
+    return values.sum(axis=1) / (2j * math.pi), err / (2.0 * math.pi) + MOMENT_ROUNDING
+
+
+def test_level_moments_match_one_call_per_cell(monkeypatch):
+    # p11's search has a level of 8 cells holding 7 to 16 zeros, so 14 and
+    # 16 rows, two of them with an edge through the rounding noise of a
+    # 5-fold zero that spends its MOMENT_PANELS; every cell's moments from
+    # its level's calls equal those of a call for the cell alone
+    s = HIGH_MULTIPLICITY[11]
+    p = expand_sine_product(s)
+    levels = []
+    batched = _Search._moments
+
+    def spy(search, cells):
+        out = batched(search, cells)
+        levels.append((cells, out))
+        return out
+
+    monkeypatch.setattr(_Search, "_moments", spy)
+    find_zeros_report(p, corpus_rect(s))
+    mixed = exhausted = False
+    for cells, out in levels:
+        spent = []
+        for (rect, n), (moments, noise) in zip(cells, out):
+            errors = np.empty(4)
+            alone, alone_noise = _one_cell_moments(p, rect, n, errors)
+            assert moments.tolist() == alone.tolist() and noise == alone_noise
+            # a segment within its budget settles to MOMENT_TOL
+            spent.append(errors.max() > MOMENT_TOL)
+        mixed |= len({min(n, MOMENT_MAX) for _, n in cells}) > 1
+        exhausted |= any(spent) and not all(spent)
+    assert mixed and exhausted
+
+
 def test_noisy_moments_are_rejected():
     # two 4-fold zeros 9.8e-4 apart, 0.022 below the cell's top edge, where
     # p'/p is rounding noise: the moments carry noise 7.8e-4, and the rank,
@@ -277,5 +331,7 @@ def test_noisy_moments_are_rejected():
                 -0.06331910350820191, 0.022161686227873734)
     assert [m for _, m in closed_form_zeros(s, cell)] == [4, 4]
     atoms = []
-    assert not _Search(p, cell, 1e-12).resolve_by_moments(cell, 8, atoms)
+    search = _Search(p, cell, 1e-12)
+    (s, noise), = search._moments([(cell, 8)])
+    assert not search.resolve_by_moments(cell, 8, s, noise, atoms)
     assert atoms == []

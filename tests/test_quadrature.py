@@ -44,7 +44,8 @@ def test_three_factor_search_node_count(monkeypatch):
     # the former GL8/GL16 pair of 24 nodes a panel, 85,860 nodes in 114
     # calls with K15 and one call per split; 82,050 nodes in 65 calls with
     # one call per level of the cell tree and the top and bottom integrated
-    # once
+    # once; the same nodes in 15 calls with the moments of a whole level in
+    # one call per row count
     factors = [(math.pi, 0.0, 1), (math.sqrt(2) * math.pi, 0.3, 1),
                (math.sqrt(3) * math.pi, 1.1, 2)]
     p = expand_sine_product(SineProduct.from_factors(1.0, 0.0, factors))
@@ -63,7 +64,7 @@ def test_three_factor_search_node_count(monkeypatch):
         for alpha, beta, m in factors)
     assert all(n % X.size == 0 and n <= 16 * BATCH_PANELS for n in sizes)
     assert sum(sizes) < 83_000
-    assert len(calls) <= 70
+    assert len(calls) <= 20
 
 
 # -- one segment ---------------------------------------------------------------------
