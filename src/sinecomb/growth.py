@@ -107,15 +107,21 @@ def sweep_coefficients(p: ExpPolynomial, gamma_max: float,
     ones up to ``upper_gamma_max``, if larger), from one sweep of both
     half-planes in step by |gamma| that ends at the first breach.
 
-    Both bounds are checked at every doubling of |gamma| from the larger of
-    the two least gaps, and where a half's coefficients outgrow
-    SUPPORT_CAP or the double range, on those solved.  Where one breaks,
-    both coefficient sets end there (the lower one at ``gamma_max`` at
-    most), and :func:`growth_profile` on them is superlinear; else that
-    half's CapacityError is raised.
+    Where the lower half's gaps agree with the upper's (a symmetric
+    spectrum, as of every sine product), the lower half shares the upper's
+    enumeration of the gap semigroup (:meth:`CoefficientSweep.share`); the
+    coefficients are the same either way.  Both bounds are checked at every
+    doubling of |gamma| from the larger of the two least gaps, and where a
+    half's coefficients outgrow SUPPORT_CAP or the double range, on those
+    solved: first on the moduli alone, and with the rounding bounds only
+    where those break one.  Where one breaks, both coefficient sets end
+    there (the lower one at ``gamma_max`` at most), and
+    :func:`growth_profile` on them is superlinear; else that half's
+    CapacityError is raised.
     """
     top = max(gamma_max, upper_gamma_max or gamma_max)
     halves = (CoefficientSweep(p, UPPER, top), CoefficientSweep(p, LOWER, gamma_max))
+    halves[0].share(halves[1])
     gamma = max(h.d_min for h in halves)
     while True:
         gamma, failure = min(gamma, top), None
@@ -124,8 +130,10 @@ def sweep_coefficients(p: ExpPolynomial, gamma_max: float,
                 h.advance(gamma)
             except CapacityError as exc:  # solved up to h.reach: check there
                 failure = exc
-        if (gamma == top and failure is None) or _bounds(
-                *(h.stored(h.reach) for h in halves))[2]:
+        # rounding bounds are >= 0: a breach needs one of the moduli alone
+        if (gamma == top and failure is None) or (
+                _bounds(*(h.moduli(h.reach) for h in halves))[2]
+                and _bounds(*(h.stored(h.reach) for h in halves))[2]):
             return tuple(h.coefficients(h.reach) for h in halves)
         if failure is not None:
             raise failure

@@ -10,7 +10,9 @@ a series on the additive semigroup generated by the frequency gaps.
 Every generator is positive, so one sweep in increasing gamma builds the
 semigroup and solves each coefficient exactly from those below it
 (:class:`CoefficientSweep`), unless it passes SUPPORT_CAP entries or the
-double range first (CapacityError).  The lower half-plane is p(-z)'s upper.
+double range first (CapacityError).  The lower half-plane is p(-z)'s upper;
+where the spectrum is symmetric, p(-z) has the same gaps, and its sweep can
+share the upper one's enumeration of the semigroup.
 
 Numeric coefficients come from Bohr means
 ``exp(2*pi*gamma*y) * (1/2T) * integral_{-T}^{T} (p'/p)(x+iy) e^{-2*pi*i*gamma*x} dx``
@@ -37,6 +39,10 @@ LOWER = "lower"
 SUPPORT_CAP = 200_000
 #: Coefficients below this times max|h| are cancellation dust and dropped.
 COEFF_PRUNE_REL = 1e-12
+#: A sweep shares another's blocks only where each of its gaps lies within
+#: this share of the other's, as the lower half's gaps do for a symmetric
+#: spectrum: far inside the frequency resolution.
+MIRROR_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,14 @@ class CoefficientSweep:
     for an entry s below it, 0 included.  A block's entries are the runs
     (freq.run_starts) of the sums s + d_j in [lo, lo + d_min), lo the least
     sum not taken, that start by lo + d_min - 2 RESOLUTION; a run's sums are
-    its sources, one a gap, all below lo and solved."""
+    its sources, one a gap, all below lo and solved.
+
+    A sweep whose gaps agree with this one's, as the lower half's do when
+    the spectrum is symmetric, can :meth:`share` its blocks: it takes its
+    sources from them and is solved with this one in one pass over one
+    (half, row, entry) array, while its frequencies stay the runs of its
+    own sums.  From the first block where its own would differ (other
+    sources, other runs, another count taken) it enumerates its own."""
 
     def __init__(self, p: ExpPolynomial, halfplane: str, cap: float):
         if p.n_terms == 0:
@@ -156,87 +169,206 @@ class CoefficientSweep:
         self.d_min = float(self.d[0]) if len(self.d) else math.inf
         self.y_v = _validity_height(self.d, self.c) if len(self.d) else -math.inf
         self._rows, self._edges = np.arange(len(self.d))[:, None], np.empty((2, 1))
-        self._d_col, self._c_col = self.d[:, None], self.c[:, None]
+        # the d_j and front of each half whose sums this sweep's blocks form,
+        # and the c_j of each half they solve
+        self._d, self._c = self.d[None, :, None], self.c[None, None, :, None]
+        self._fronts = np.zeros((1, 1))
+        # the sweep that shares this one's blocks, and whether this one shares
+        # another's (no reference back, so that no cycle outlives a sweep)
+        self.mirror: CoefficientSweep | None = None
+        self.following = False
         # entries (0 first), the largest sum taken, the least not taken, the
-        # gaps whose own entry has its g' and -g, and how far all is solved
+        # gaps whose own entry has its g' and -g, how far all is solved, and
+        # how many entries are known finite
         self.n, self.front, self.lo, self._seeded, self.reach = 1, 0.0, self.d_min, 0, 0.0
+        self._finite = 0
         self.gam, (self.uv, self.rhs) = np.zeros(1), np.zeros((2, 2, 1), dtype=complex)
         self._resize(1024)
 
+    def share(self, other: CoefficientSweep) -> bool:
+        """Let ``other``, which has solved no block yet, share this sweep's
+        blocks if its gaps agree with these: as many, each within
+        MIRROR_REL.  Whether it does."""
+        d, e = self.d, other.d
+        if not (len(d) == len(e) > 0 and self.n == other.n == 1
+                and self.mirror is other.mirror is None
+                and not (self.following or other.following)
+                and bool((np.abs(e - d) <= MIRROR_REL * d).all())):
+            return False
+        self.mirror, other.following = other, True
+        self._c = np.concatenate([self._c, other._c])
+        # where the gaps are equal to the bit, so are all entries and sums,
+        # and other's need not be formed; else they are, a row beside these
+        if (e != d).any():
+            self._d, self._fronts = np.concatenate([self._d, other._d]), np.zeros((2, 1))
+        # bounds on |other.gam - self.gam| over the entries and over the gaps
+        self._drift, self._gap_drift = 0.0, float(np.abs(e - d).max())
+        self._resize(len(self.gam))
+        return True
+
+    def _unshare(self) -> None:
+        self.mirror.following, self.mirror = False, None
+        self._gam, self._uv, self._rhs = self._gam[:1], self._uv[:1], self._rhs[:1]
+        self._d, self._c, self._fronts = self._d[:1], self._c[:1], self._fronts[:1]
+
     def _resize(self, size: int) -> None:  # entries past n read inf
-        n, gam = self.n, np.full(size, np.inf)
-        uv, rhs = np.zeros((2, 2, size), dtype=complex)
-        gam[:n], uv[:, :n], rhs[:, :n] = self.gam[:n], self.uv[:, :n], self.rhs[:, :n]
-        self.gam, self.uv, self.rhs, self._steps = gam, uv, rhs, np.arange(size)
+        halves = (self,) if self.mirror is None else (self, self.mirror)
+        # one array at a time, each for all halves, so that the old one is
+        # gone before the next is made
+        for name in ("gam", "uv", "rhs"):
+            shape = (len(halves), *getattr(self, name).shape[:-1], size)
+            new = (np.full(shape, np.inf) if name == "gam"
+                   else np.zeros(shape, dtype=complex))
+            for k, h in enumerate(halves):
+                new[k, ..., :h.n] = getattr(h, name)[..., :h.n]
+                setattr(h, name, new[k])
+                setattr(h, "_" + name, new[k:k + 1])
+            setattr(self, "_" + name, new)
+        steps = np.arange(size)
+        for h in halves:
+            h._steps = steps
+
+    def _sources(self) -> np.ndarray:
+        # each gap's sources of sums in (front, top) and of its first sum
+        # past top, top = lo + d_min; the sums at most half the resolution
+        # below front are taken, and chain to it
+        edges = self._edges
+        edges[0, 0], edges[1, 0] = self.front - 0.5 * freq.RESOLUTION, self.lo + self.d_min
+        return self.gam.searchsorted(edges - self.d)
+
+    def _end(self) -> float:
+        # at least the entry at lo, whose sources all lie d_min below it
+        return min(max(self.lo + self.d_min - 2.0 * freq.RESOLUTION, self.lo),
+                   self.cap + 0.5 * freq.RESOLUTION)
 
     def _block(self) -> None:
-        n, d, lo = self.n, self.d, self.lo
-        top = lo + self.d_min
-        # each gap's sources of sums in (front, top) and of its first sum
-        # past top, padded to one width by later entries; the sums at most
-        # half the resolution below front are taken, and chain to it
-        edges = self._edges
-        edges[0, 0], edges[1, 0] = self.front - 0.5 * freq.RESOLUTION, top
-        k, e = self.gam.searchsorted(edges - d)
+        n, mirror, fronts = self.n, self.mirror, self._fronts
+        k, e = self._sources()
+        # each gap's sources, padded to one width by later entries, and each
+        # half's sums on them, sorted
         src = k[:, None] + self._steps[:max((e - k).tolist()) + 1]
-        sums = self.gam[src] + self._d_col
-        ordered = sums.flatten()
+        sums = self._gam[:len(fronts)].take(src, axis=1) + self._d
+        ordered = sums.reshape(len(sums), -1).copy()
         ordered.sort()
-        firsts = freq.run_starts(ordered, self.front).nonzero()[0]
-        starts = ordered[firsts]
-        # at least the entry at lo, whose sources all lie d_min below it
-        end = min(max(top - 2.0 * freq.RESOLUTION, lo), self.cap + 0.5 * freq.RESOLUTION)
-        nb = int(starts.searchsorted(end, side="right"))
+        fronts[0, 0] = self.front
+        if len(fronts) > 1:
+            fronts[1, 0] = mirror.front
+        mask = freq.run_starts(ordered, fronts)
+        firsts = mask[0].nonzero()[0]
+        starts = ordered[:, firsts]
+        nb = int(starts[0].searchsorted(self._end(), side="right"))
+        if mirror is not None and not mirror._follows(self, k, src.shape[1], mask,
+                                                      starts[-1], nb):
+            self._unshare()
+            mirror._block()
         if 2 * (n + nb) + 2 > len(self.gam):
             self._resize(max(2 * len(self.gam), 2 * (n + nb) + 2))
         # run t's sums give entry n + t - 1 one source per gap (columns 0 and
         # past nb are not read; a source left 0 reads entry 0's zeros)
-        idx = np.zeros((len(d), len(starts) + 1), dtype=np.intp)
-        idx[self._rows, starts.searchsorted(sums, side="right")] = src
+        idx = np.zeros((len(self.d), starts.shape[1] + 1), dtype=np.intp)
+        idx[self._rows, starts[0].searchsorted(sums[0], side="right")] = src
+        self._take(ordered[0], firsts, starts[0], nb)
+        if self.mirror is not None:
+            mirror._take(ordered[-1], firsts, starts[-1], nb)
+        block = slice(n, n + nb)
+        self._uv[..., block] = self._rhs[..., block] - np.add.reduce(
+            self._c * self._uv.take(idx[:, 1:nb + 1], axis=2), axis=2)
+
+    def _follows(self, lead: CoefficientSweep, k, width: int, mask, starts, nb: int) -> bool:
+        """Whether this sweep's own block is the lead's: the same sources
+        (``k`` on, ``width`` of them per gap), its sums in the same runs and
+        as many runs taken.  ``mask`` holds the run starts of the lead's
+        sorted sums and, unless the gaps are equal, of this sweep's on the
+        same sources; ``starts`` are this sweep's.  Its sums lie within
+        ``drift`` of the lead's, less than half the resolution, and the
+        lead's runs lie more than the resolution apart, so equal masks put
+        each sum in the same run."""
+        end = self._end()
+        if (nb and starts[nb - 1] > end) or (nb < len(starts) and starts[nb] <= end):
+            return False  # its own cap takes fewer
+        if len(mask) == 1:
+            return True  # all else equal to the bit
+        drift = (lead._drift + lead._gap_drift
+                 + 2.0 ** -51 * (lead.lo + float(lead.d[-1])))
+        k_own, e_own = self._sources()
+        if not (drift < 0.5 * freq.RESOLUTION and (k_own == k).all()
+                and max((e_own - k_own).tolist()) + 1 == width
+                and (mask[1] == mask[0]).all()):
+            return False
+        lead._drift = drift
+        return True
+
+    def _take(self, ordered, firsts, starts, nb: int) -> None:
+        """Take the first ``nb`` runs as entries: their frequencies, and the
+        g' and -g of the gaps among them."""
+        n, d = self.n, self.d
         past = float(starts[nb]) if nb < len(starts) else math.inf  # least not taken
         if self._seeded < len(d) and d[self._seeded] < past:  # sums 0 + d_j taken
             j = slice(self._seeded, int(d.searchsorted(past)))
             entry = n - 1 + starts.searchsorted(d[j], side="right")
             np.add.at(self.rhs, (slice(None), entry), [self.gp[j], -self.c[j]])
             self._seeded = j.stop
-        block = slice(n, n + nb)
-        self.uv[:, block] = self.rhs[:, block] - np.add.reduce(
-            self._c_col * self.uv[:, idx[:, 1:nb + 1]], axis=1)
-        self.gam[block], self.n = starts[:nb], n + nb
+        self.gam[n:n + nb], self.n = starts[:nb], n + nb
         taken = firsts[nb] if nb < len(firsts) else len(ordered)
         self.front = float(ordered[taken - 1]) if taken else self.front
         # a sum of the new entries is at least the least of them plus d_min
         self.lo = min(past, float(starts[0]) + self.d_min) if nb else past
 
+    def _more(self, gamma: float) -> bool:
+        """Whether advance(gamma) solves another block."""
+        gamma = min(gamma, self.cap)
+        return (gamma / self.d_min <= SUPPORT_CAP + 1 and self.n <= SUPPORT_CAP + 1
+                and self.lo <= gamma + 0.5 * freq.RESOLUTION)
+
     def advance(self, gamma: float) -> None:
         """Solve the entries up to ``gamma`` (the cap at most).  ``reach`` is
         then ``gamma``, or, with a CapacityError raised, the last entry
         solved, finite and within SUPPORT_CAP (none is solved past the last
-        reach where the multiples of d_min alone pass SUPPORT_CAP)."""
+        reach where the multiples of d_min alone pass SUPPORT_CAP).  A
+        shared pair solves the blocks both need together, and either half
+        that needs one the other does not goes on alone."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            while self._more(gamma):
+                # a block one half of a shared pair takes alone ends the sharing
+                self.following = False
+                if self.mirror is not None and not (
+                        self.mirror.following and self.mirror._more(gamma)):
+                    self._unshare()
+                self._block()
         gamma = min(gamma, self.cap)
         limit = gamma + 0.5 * freq.RESOLUTION
-        many = gamma / self.d_min > SUPPORT_CAP + 1
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            while not many and self.lo <= limit and self.n <= SUPPORT_CAP + 1:
-                self._block()
         m = int(self.gam.searchsorted(limit, side="right"))
-        full = many or m > SUPPORT_CAP + 1
-        bad = np.flatnonzero(~np.isfinite(self.uv[0, :min(m, SUPPORT_CAP + 1)]))
+        full = gamma / self.d_min > SUPPORT_CAP + 1 or m > SUPPORT_CAP + 1
+        # the entries before _finite were found finite by an earlier call
+        top = min(m, SUPPORT_CAP + 1)
+        bad = np.flatnonzero(~np.isfinite(self.uv[0, self._finite:top]))
+        self._finite = self._finite + int(bad[0]) if len(bad) else max(self._finite, top)
         self.reach = gamma
-        if full or len(bad):
-            self.reach = float(self.gam[min(m, SUPPORT_CAP + 1, *bad[:1]) - 1])
+        if full or len(bad):  # the solved entries before the first one not finite
+            self.reach = float(self.gam[min(self._finite, top) - 1])
             what = (f"gap-semigroup support exceeded {SUPPORT_CAP} entries" if full
                     else "coefficients leave the double range")
             raise CapacityError(f"{what} below gamma_max={gamma:.6g}; reduce gamma_max")
 
-    def stored(self, gamma: float):
-        """(|gamma|, h, rounding bounds, h at gamma 0) of the stored
-        coefficients up to ``gamma``, at most the cap, in increasing |gamma|."""
+    def _pruned(self, gamma: float):
         m = int(self.gam.searchsorted(gamma + 0.5 * freq.RESOLUTION, side="right"))
         h = self.uv[0, :m] * self.sign
         h[0] = self.sign * self.h0
         size = np.abs(h)
-        keep = size > COEFF_PRUNE_REL * float(size.max())
+        return m, h, size, size > COEFF_PRUNE_REL * float(size.max())
+
+    def moduli(self, gamma: float):
+        """stored(gamma) with zero rounding bounds, without the rounding pass.
+        The bounds are >= 0, so where these break no growth bound beyond
+        their rounding, neither do those of stored(gamma)."""
+        m, h, _, keep = self._pruned(gamma)
+        return self.gam[:m][keep], h[keep], np.zeros(np.count_nonzero(keep)), \
+            h[0] if keep[0] else 0j
+
+    def stored(self, gamma: float):
+        """(|gamma|, h, rounding bounds, h at gamma 0) of the stored
+        coefficients up to ``gamma``, at most the cap, in increasing |gamma|."""
+        m, h, size, keep = self._pruned(gamma)
         # error_k = sum_i (1 + v)_(k-i) delta_i to first order, where step i
         # errs by at most 2 n eps (|g'_i| + sum_j |c_j u_(i-j)|), the input's
         # own rounding included.  Weights exp(-2 pi y gamma) factor over

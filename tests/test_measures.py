@@ -28,6 +28,8 @@ from sinecomb import (
 )
 from sinecomb.errors import (BoundaryProximityError, PreconditionError,
                              QuadratureFailureError)
+from sinecomb.measures import CONTOUR_EDGE_TOL
+from sinecomb.quadrature import integrate_segment
 from sinecomb.zeros import AtomicMeasure
 
 from conftest import Y0
@@ -312,6 +314,23 @@ class TestContourResidue:
                               + transform_c(tf, complex(0.5, -Y0)))
         assert abs(rep.integral - expected) <= 1e-8
         assert rep.residual <= 1e-8
+
+    def test_error_estimate_bounds_the_integral(self, fourcos_poly):
+        # the estimate is that of the four sides together, below their
+        # tolerance, and it covers the distance to the closed-form integral
+        tf = gaussian(1.0)
+        rect = Rect(0, 1, -0.5, 0.5)
+        rep = contour_residue_report(fourcos_poly, tf, rect)
+        a, b = np.array(rect.edges).T
+        sides, error = integrate_segment(
+            lambda z: transform_c(tf, z) * fourcos_poly.log_ratio(z), a, b,
+            CONTOUR_EDGE_TOL, max_panels=20000)
+        assert rep.error == error and rep.integral == sides.sum()
+        assert 0.0 < rep.error <= 4 * CONTOUR_EDGE_TOL
+        expected = 2j * PI * (transform_c(tf, complex(0.5, Y0))
+                              + transform_c(tf, complex(0.5, -Y0)))
+        assert abs(rep.integral - expected) <= rep.error
+        assert rep.residual == abs(rep.integral - rep.residue_sum)
 
     def test_zero_on_the_boundary_is_refused(self, sin_poly):
         # the left side runs through the zero at 0

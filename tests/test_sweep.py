@@ -3,9 +3,12 @@
 Generic inputs break a growth bound after few coefficients, so the sweep
 that stops at the first breach decides them where the full support would
 outgrow SUPPORT_CAP.  The sweep itself is checked against a brute-force
-enumeration of the semigroup and an mpmath expansion of g' sum_m (-g)^m.
+enumeration of the semigroup and an mpmath expansion of g' sum_m (-g)^m,
+and the sweep whose halves share one enumeration against two independent
+halves, bit for bit.
 """
 
+import functools
 import math
 
 import mpmath
@@ -16,27 +19,19 @@ from hypothesis import strategies as st
 
 from sinecomb import LOWER, UPPER, ExpPolynomial, factor, freq
 from sinecomb.factorize import profile_radii
-from sinecomb.growth import growth_profile, sweep_coefficients
+from sinecomb.errors import CapacityError
+from sinecomb.growth import _bounds, growth_profile, sweep_coefficients
 from sinecomb.logderiv import CoefficientSweep, logderiv_coeffs_symbolic
 
-from test_overflow import twelve_terms
+from corpora import factor_reach, generic_polynomials, sweep_corpora
 
 
 def generic_inputs():
-    """8 draws at each term count, from a fresh default_rng(7) per count:
-    omega ~ U(-3, 3) and complex normal coefficients."""
-    for n in (5, 8, 12, 20):
-        rng = np.random.default_rng(7)
-        for i in range(8):
-            w = rng.uniform(-3, 3, n)
-            z = rng.normal(size=(n, 2))
-            q = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2)
-            yield pytest.param(ExpPolynomial.from_terms(zip(w.tolist(), q.tolist())),
-                               id=f"{n}-terms-{i}")
-    yield pytest.param(twelve_terms(), id="twelve-terms")
+    """The generic polynomials of the corpora, as test parameters."""
+    return [pytest.param(p, id=name) for name, p in generic_polynomials()]
 
 
-@pytest.mark.parametrize("p", list(generic_inputs()))
+@pytest.mark.parametrize("p", generic_inputs())
 def test_generic_input_rejected_at_criterion(p):
     # the full support up to factor's gamma_max passes SUPPORT_CAP for most
     # of these; the first breach lies below gamma 8, past 2,100 coefficients
@@ -62,6 +57,120 @@ def test_breach_below_where_the_coefficients_overflow():
     assert np.isfinite(upper.h_array).all()
     report = growth_profile(upper, lower, [upper.gamma_max])
     assert report.classification == "superlinear"
+
+
+def separate_halves(p: ExpPolynomial, gamma_max: float,
+                    upper_gamma_max: float | None = None):
+    """sweep_coefficients from two independent halves, no block shared, with
+    both bounds checked on the rounding bounds at every doubling."""
+    top = max(gamma_max, upper_gamma_max or gamma_max)
+    halves = (CoefficientSweep(p, UPPER, top), CoefficientSweep(p, LOWER, gamma_max))
+    gamma = max(h.d_min for h in halves)
+    while True:
+        gamma, failure = min(gamma, top), None
+        for h in halves:
+            try:
+                h.advance(gamma)
+            except CapacityError as exc:
+                failure = exc
+        if (gamma == top and failure is None) or _bounds(
+                *(h.stored(h.reach) for h in halves))[2]:
+            return tuple(h.coefficients(h.reach) for h in halves)
+        if failure is not None:
+            raise failure
+        gamma *= 2.0
+
+
+def outcome(sweep, p: ExpPolynomial):
+    """The (upper, lower) coefficients of ``sweep`` at factor's reach, as
+    arrays and numbers, or the error it raises."""
+    try:
+        halves = sweep(p, *factor_reach(p))
+    except CapacityError as exc:
+        return repr(exc)
+    return [(c.halfplane, c.gamma_array.tolist(), c.h_array.tolist(),
+             c.rounding_array.tolist(), c.tail_bound, c.validity_height, c.gamma_max)
+            for c in halves]
+
+
+@functools.cache
+def corpora():
+    return sweep_corpora()
+
+
+def sharing(p: ExpPolynomial) -> bool:
+    return CoefficientSweep(p, UPPER, 1.0).share(CoefficientSweep(p, LOWER, 1.0))
+
+
+@pytest.mark.parametrize("name", list(corpora()))
+def test_shared_sweep_is_bit_identical(name):
+    # every sine product shares the upper half's blocks and no generic input
+    # does; Lee-Yang, 4 + 2cos and 1 + 2e(z) + 3e(2z) share them until the
+    # breach that rejects them
+    polys = corpora()[name]
+    shared = [sharing(p) for p in polys]
+    assert all(shared) if name != "generic" else not any(shared)
+    for p in polys:
+        assert outcome(sweep_coefficients, p) == outcome(separate_halves, p)
+
+
+def lower_alone(monkeypatch) -> list:
+    """The entry counts at which the lower half of a shared sweep solves a
+    block alone, from now on."""
+    block, alone = CoefficientSweep._block, []
+
+    def counted(self):
+        if self.halfplane == LOWER and not self.following:
+            alone.append(self.n)
+        block(self)
+
+    monkeypatch.setattr(CoefficientSweep, "_block", counted)
+    return alone
+
+
+def test_lower_half_goes_its_own_way_where_its_sources_differ(monkeypatch):
+    # item 6 of seed 60601: at entry 441 the lower half's own block would
+    # pad each gap's sources to another width than the upper's, so from
+    # there on it enumerates its own semigroup, with the same coefficients
+    p, alone = corpora()["seed-60601"][6], lower_alone(monkeypatch)
+    assert outcome(sweep_coefficients, p) == outcome(separate_halves, p)
+    assert alone[0] == 441 and len(alone) > 1
+
+
+def test_lower_half_goes_its_own_way_where_a_check_is_stricter(monkeypatch):
+    # a comparison stricter than the sweep's finds the lower half's 6th
+    # block different from the shared one
+    p, alone = corpora()["seed-60601"][3], lower_alone(monkeypatch)
+    follows, calls = CoefficientSweep._follows, []
+
+    def stricter(self, lead, *args):
+        calls.append(self.n)
+        return len(calls) != 6 and follows(self, lead, *args)
+
+    monkeypatch.setattr(CoefficientSweep, "_follows", stricter)
+    assert outcome(sweep_coefficients, p) == outcome(separate_halves, p)
+    assert len(calls) == 6 and len(alone) > 1 and alone[0] == calls[-1] > 1
+
+
+def test_stepwise_advance_finds_the_same_overflow():
+    # u_k = -4 u_(k-1) leaves the double range near entry 513: advancing by
+    # doublings, each call scanning only what it solved, stops where one
+    # call does, and a later call finds the same entry again
+    p = ExpPolynomial.from_terms([(0.0, 1.0), (1.0, 4.0), (601.0, 1.0)])
+    once, steps = (CoefficientSweep(p, UPPER, 1202.0) for _ in range(2))
+    with pytest.raises(CapacityError, match="double range"):
+        once.advance(1024.0)
+    gamma = 1.0
+    with pytest.raises(CapacityError, match="double range"):
+        while gamma < 1024.0:
+            steps.advance(gamma)
+            gamma *= 2.0
+    assert 1.0 < gamma < 1024.0 and steps.reach == once.reach
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="double range"):
+            steps.advance(1024.0)
+        assert steps.reach == once.reach < 600.0
+    assert (steps.gam[:steps.n] == once.gam[:once.n]).all()
 
 
 def semigroup(gaps, gamma_max: float) -> list:
