@@ -12,13 +12,12 @@ import numpy as np
 RESOLUTION = 1e-9
 
 
-def run_starts(sorted_freqs: np.ndarray, before) -> np.ndarray:
+def run_starts(sorted_freqs: np.ndarray, before: float) -> np.ndarray:
     """Mask of the entries more than RESOLUTION above their predecessor
     (``before`` for the first): the smallest member of each run of sorted
-    frequencies chained at most RESOLUTION apart.  Each row of a 2-D array
-    is one sequence, with its own ``before`` in a column."""
+    frequencies chained at most RESOLUTION apart."""
     prev = np.empty_like(sorted_freqs)
-    prev[..., :1], prev[..., 1:] = before, sorted_freqs[..., :-1]
+    prev[:1], prev[1:] = before, sorted_freqs[:-1]
     return sorted_freqs - prev > RESOLUTION
 
 

@@ -169,10 +169,9 @@ class CoefficientSweep:
         self.d_min = float(self.d[0]) if len(self.d) else math.inf
         self.y_v = _validity_height(self.d, self.c) if len(self.d) else -math.inf
         self._rows, self._edges = np.arange(len(self.d))[:, None], np.empty((2, 1))
-        # the d_j and front of each half whose sums this sweep's blocks form,
-        # and the c_j of each half they solve
+        # the d_j of each half whose sums this sweep's blocks form, and the
+        # c_j of each half they solve
         self._d, self._c = self.d[None, :, None], self.c[None, None, :, None]
-        self._fronts = np.zeros((1, 1))
         # the sweep that shares this one's blocks, and whether this one shares
         # another's (no reference back, so that no cycle outlives a sweep)
         self.mirror: CoefficientSweep | None = None
@@ -186,30 +185,25 @@ class CoefficientSweep:
         self._resize(1024)
 
     def share(self, other: CoefficientSweep) -> bool:
-        """Let ``other``, which has solved no block yet, share this sweep's
-        blocks if its gaps agree with these: as many, each within
-        MIRROR_REL.  Whether it does."""
+        """Let ``other`` share this sweep's blocks if its gaps agree with
+        these: as many, each within MIRROR_REL.  Whether it does.  Both
+        sweeps are new: neither has solved a block or shares another's."""
         d, e = self.d, other.d
-        if not (len(d) == len(e) > 0 and self.n == other.n == 1
-                and self.mirror is other.mirror is None
-                and not (self.following or other.following)
-                and bool((np.abs(e - d) <= MIRROR_REL * d).all())):
+        if not (len(d) == len(e) > 0 and bool((np.abs(e - d) <= MIRROR_REL * d).all())):
             return False
         self.mirror, other.following = other, True
         self._c = np.concatenate([self._c, other._c])
         # where the gaps are equal to the bit, so are all entries and sums,
         # and other's need not be formed; else they are, a row beside these
         if (e != d).any():
-            self._d, self._fronts = np.concatenate([self._d, other._d]), np.zeros((2, 1))
-        # bounds on |other.gam - self.gam| over the entries and over the gaps
-        self._drift, self._gap_drift = 0.0, float(np.abs(e - d).max())
+            self._d = np.concatenate([self._d, other._d])
         self._resize(len(self.gam))
         return True
 
     def _unshare(self) -> None:
         self.mirror.following, self.mirror = False, None
         self._gam, self._uv, self._rhs = self._gam[:1], self._uv[:1], self._rhs[:1]
-        self._d, self._c, self._fronts = self._d[:1], self._c[:1], self._fronts[:1]
+        self._d, self._c = self._d[:1], self._c[:1]
 
     def _resize(self, size: int) -> None:  # entries past n read inf
         halves = (self,) if self.mirror is None else (self, self.mirror)
@@ -242,22 +236,21 @@ class CoefficientSweep:
                    self.cap + 0.5 * freq.RESOLUTION)
 
     def _block(self) -> None:
-        n, mirror, fronts = self.n, self.mirror, self._fronts
+        n, mirror = self.n, self.mirror
         k, e = self._sources()
         # each gap's sources, padded to one width by later entries, and each
-        # half's sums on them, sorted
+        # half's sums on them, sorted, and the first sum of each of its runs
         src = k[:, None] + self._steps[:max((e - k).tolist()) + 1]
-        sums = self._gam[:len(fronts)].take(src, axis=1) + self._d
+        sums = self._gam[:len(self._d)].take(src, axis=1) + self._d
         ordered = sums.reshape(len(sums), -1).copy()
         ordered.sort()
-        fronts[0, 0] = self.front
-        if len(fronts) > 1:
-            fronts[1, 0] = mirror.front
-        mask = freq.run_starts(ordered, fronts)
-        firsts = mask[0].nonzero()[0]
-        starts = ordered[:, firsts]
+        firsts, starts = [], []
+        for row, half in zip(ordered, (self, mirror)):
+            firsts.append(freq.run_starts(row, half.front).nonzero()[0])
+            starts.append(row[firsts[-1]])
+        runs = starts[0].searchsorted(sums[0], side="right")  # each sum's run
         nb = int(starts[0].searchsorted(self._end(), side="right"))
-        if mirror is not None and not mirror._follows(self, k, src.shape[1], mask,
+        if mirror is not None and not mirror._follows(k, src.shape[1], sums, runs,
                                                       starts[-1], nb):
             self._unshare()
             mirror._block()
@@ -265,38 +258,31 @@ class CoefficientSweep:
             self._resize(max(2 * len(self.gam), 2 * (n + nb) + 2))
         # run t's sums give entry n + t - 1 one source per gap (columns 0 and
         # past nb are not read; a source left 0 reads entry 0's zeros)
-        idx = np.zeros((len(self.d), starts.shape[1] + 1), dtype=np.intp)
-        idx[self._rows, starts[0].searchsorted(sums[0], side="right")] = src
-        self._take(ordered[0], firsts, starts[0], nb)
+        idx = np.zeros((len(self.d), len(starts[0]) + 1), dtype=np.intp)
+        idx[self._rows, runs] = src
+        self._take(ordered[0], firsts[0], starts[0], nb)
         if self.mirror is not None:
-            mirror._take(ordered[-1], firsts, starts[-1], nb)
+            mirror._take(ordered[-1], firsts[-1], starts[-1], nb)
         block = slice(n, n + nb)
         self._uv[..., block] = self._rhs[..., block] - np.add.reduce(
             self._c * self._uv.take(idx[:, 1:nb + 1], axis=2), axis=2)
 
-    def _follows(self, lead: CoefficientSweep, k, width: int, mask, starts, nb: int) -> bool:
-        """Whether this sweep's own block is the lead's: the same sources
-        (``k`` on, ``width`` of them per gap), its sums in the same runs and
-        as many runs taken.  ``mask`` holds the run starts of the lead's
-        sorted sums and, unless the gaps are equal, of this sweep's on the
-        same sources; ``starts`` are this sweep's.  Its sums lie within
-        ``drift`` of the lead's, less than half the resolution, and the
-        lead's runs lie more than the resolution apart, so equal masks put
-        each sum in the same run."""
+    def _follows(self, k, width: int, sums, runs, starts, nb: int) -> bool:
+        """Whether this sweep's own block is the lead's, which has ``nb``
+        runs taken: its own cap takes as many of its runs (``starts``) and,
+        unless the gaps are equal to the bit, its own sources are the
+        lead's (``k`` on, ``width`` of them per gap) and each of its sums
+        on them (``sums[1]``, the lead's ``sums[0]``) falls in the lead's
+        run (``runs``).  Then its entries have the lead's sources, and one
+        solve with the lead's indices is its own."""
         end = self._end()
         if (nb and starts[nb - 1] > end) or (nb < len(starts) and starts[nb] <= end):
-            return False  # its own cap takes fewer
-        if len(mask) == 1:
+            return False  # its own cap takes another count
+        if len(sums) == 1:
             return True  # all else equal to the bit
-        drift = (lead._drift + lead._gap_drift
-                 + 2.0 ** -51 * (lead.lo + float(lead.d[-1])))
         k_own, e_own = self._sources()
-        if not (drift < 0.5 * freq.RESOLUTION and (k_own == k).all()
-                and max((e_own - k_own).tolist()) + 1 == width
-                and (mask[1] == mask[0]).all()):
-            return False
-        lead._drift = drift
-        return True
+        return bool((k_own == k).all() and max((e_own - k_own).tolist()) + 1 == width
+                    and (starts.searchsorted(sums[1], side="right") == runs).all())
 
     def _take(self, ordered, firsts, starts, nb: int) -> None:
         """Take the first ``nb`` runs as entries: their frequencies, and the

@@ -8,14 +8,14 @@ Imports ``sinecomb`` from CHECKOUT/src and the workloads from
 CHECKOUT/perfbench, and writes nothing into the checkout.  Each operation
 of each chosen workload (all three by default) runs once per seed, in round
 order, untimed and unchecked; an operation that raises gives the type and
-message of its exception.  With ``--corpora`` (the default) each corpus of
-this repository's ``tests/corpora.py`` gives, per input, the frequencies,
-coefficients and rounding bounds, tail bound, validity height and
-truncation of both halves from ``sweep_coefficients`` at ``factor``'s
-reach, or the exception it raises.  One line is printed per workload and
-seed and per corpus: its name, the number of outputs and the SHA-256 of
-their reprs, numpy arrays in full with each float's shortest repr.  Equal
-lines from two checkouts mean equal outputs.
+message of its exception.  Then each corpus of this repository's
+``tests/corpora.py`` gives, per input, the frequencies, coefficients and
+rounding bounds, tail bound, validity height and truncation of both halves
+from ``sweep_coefficients`` at ``factor``'s reach, or the exception it
+raises.  One line is printed per workload and seed and per corpus: its
+name, the number of outputs and the SHA-256 of their reprs, numpy arrays
+in full with each float's shortest repr.  Equal lines from two checkouts
+mean equal outputs.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", type=Path, help="checkout to run")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--workloads", nargs="*", choices=WORKLOADS, default=WORKLOADS)
-    parser.add_argument("--corpora", action=argparse.BooleanOptionalAction, default=True)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     if not (checkout / "src" / "sinecomb" / "__init__.py").is_file():
@@ -82,12 +81,11 @@ def main(argv=None) -> int:
             ops = workloads.WORKLOADS[name](seed).ops
             n, hexdigest = digest(_answer(op.run) for op in ops)
             print(f"{name} seed {seed}: {n} outputs {hexdigest}", flush=True)
-    if args.corpora:
-        from corpora import sweep_corpora
+    from corpora import sweep_corpora
 
-        for name, polys in sweep_corpora().items():
-            n, hexdigest = digest(sweep_outputs(polys))
-            print(f"sweep {name}: {n} outputs {hexdigest}", flush=True)
+    for name, polys in sweep_corpora().items():
+        n, hexdigest = digest(sweep_outputs(polys))
+        print(f"sweep {name}: {n} outputs {hexdigest}", flush=True)
     return 0
 
 
