@@ -55,21 +55,31 @@ class RunConfig:
     )
 
 
+def _numbers(values) -> bool:
+    """Whether ``values`` is a list of finite numbers (no bools)."""
+    return isinstance(values, (list, tuple)) and all(
+        jsonio.finite_number(v) for v in values)
+
+
 def _validate_config(cfg: RunConfig) -> RunConfig:
     for name in ("reconstruction_tol", "zero_tol"):
         value = getattr(cfg, name)
-        if not (isinstance(value, (int, float)) and value > 0):
-            raise ConfigError(f"{name} must be a positive number")
-    if cfg.gamma_max is not None and not cfg.gamma_max > 0:
-        raise ConfigError("gamma_max must be positive")
+        if not (jsonio.finite_number(value) and value > 0):
+            raise ConfigError(f"{name} must be a finite positive number")
+    if cfg.gamma_max is not None and not (
+            jsonio.finite_number(cfg.gamma_max) and cfg.gamma_max > 0):
+        raise ConfigError("gamma_max must be a finite positive number")
     if cfg.window is not None:
-        if len(cfg.window) != 2 or not cfg.window[0] < cfg.window[1]:
+        if not (_numbers(cfg.window) and len(cfg.window) == 2
+                and cfg.window[0] < cfg.window[1]):
             raise ConfigError("window must be [lo, hi] with lo < hi")
     if cfg.radii is not None:
         radii = cfg.radii
-        if not radii or not radii[0] > 0.0 or any(
+        if not (_numbers(radii) and radii and radii[0] > 0.0) or any(
                 b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("radii must be nonempty, increasing and > 0")
+    if not isinstance(cfg.battery, (list, tuple)):
+        raise ConfigError("battery must be a list")
     for tf in cfg.battery:
         _battery_entry(tf)  # raises ConfigError on bad entries
     return cfg
@@ -80,16 +90,16 @@ def _battery_entry(spec: dict) -> TestFunction:
         raise ConfigError("battery entries need a 'kind'")
     kind = spec["kind"]
     t0 = spec.get("t0", 0.0)
-    if not isinstance(t0, (int, float)):
-        raise ConfigError("battery 't0' must be a number")
+    if not jsonio.finite_number(t0):
+        raise ConfigError("battery 't0' must be a finite number")
     if kind == "gaussian":
         s = spec.get("s")
-        if not (isinstance(s, (int, float)) and s > 0):
+        if not (jsonio.finite_number(s) and s > 0):
             raise ConfigError("gaussian battery entry needs s > 0")
         return TestFunction("gaussian", float(s), float(t0))
     if kind == "bump":
         radius = spec.get("radius")
-        if not (isinstance(radius, (int, float)) and radius > 0):
+        if not (jsonio.finite_number(radius) and radius > 0):
             raise ConfigError("bump battery entry needs radius > 0")
         return TestFunction("bump", float(radius), float(t0))
     raise ConfigError(f"unknown battery kind {kind!r}")
@@ -141,9 +151,9 @@ def _parse_rect(spec: str) -> Rect:
 
 
 def _resolve_gamma_max(args, cfg: RunConfig) -> float:
-    if getattr(args, "gamma_max", None) is not None:
-        if args.gamma_max <= 0:
-            raise ConfigError("--gamma-max must be positive")
+    if args.gamma_max is not None:
+        if not (math.isfinite(args.gamma_max) and args.gamma_max > 0):
+            raise ConfigError("--gamma-max must be a finite positive number")
         return args.gamma_max
     return cfg.gamma_max if cfg.gamma_max is not None else 16.0
 
@@ -310,8 +320,9 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--input", required=True)
         cmd.add_argument("--config")
         cmd.add_argument("--out")
-        cmd.add_argument("--gamma-max", dest="gamma_max", type=float,
-                         default=None)
+        if name in ("logderiv", "fourier", "criterion", "poisson"):
+            cmd.add_argument("--gamma-max", dest="gamma_max", type=float,
+                             default=None)
         if name in ("zeros", "poisson"):
             cmd.add_argument("--rect", required=(name == "zeros"),
                              default=None, help="x0,x1,y0,y1")

@@ -308,10 +308,15 @@ def expand_sine_product(s: SineProduct) -> ExpPolynomial:
     Raises
     ------
     CapacityError
-        If the expansion would exceed EXPANSION_TERM_CAP terms.
+        If the expansion would exceed EXPANSION_TERM_CAP terms: at once
+        where a factor's multiplicity is at least the cap, since an m-fold
+        zero needs m + 1 terms.
     """
     out = ExpPolynomial.from_terms([(s.a / TWO_PI, s.C)])
     for alpha, beta, mult in s.factors:
+        if mult >= EXPANSION_TERM_CAP:
+            raise CapacityError(f"a factor of multiplicity {mult} needs more "
+                                f"than {EXPANSION_TERM_CAP} terms")
         factor = ExpPolynomial.from_terms([
             (-alpha / TWO_PI, 0.5j * cmath.exp(-1j * beta)),
             (alpha / TWO_PI, -0.5j * cmath.exp(1j * beta)),

@@ -107,15 +107,15 @@ def sweep_coefficients(p: ExpPolynomial, gamma_max: float,
     ones up to ``upper_gamma_max``, if larger), from one sweep of both
     half-planes in step by |gamma| that ends at the first breach.
 
-    Where the lower half's gaps agree with the upper's (a symmetric
-    spectrum, as of every sine product), the lower half shares the upper's
-    enumeration of the gap semigroup (:meth:`CoefficientSweep.share`); the
-    coefficients are the same either way.  Both bounds are checked at every
-    doubling of |gamma| from the larger of the two least gaps, and where a
-    half's coefficients outgrow SUPPORT_CAP or the double range, on those
-    solved: first on the moduli alone, and with the rounding bounds only
-    where those break one.  Where one breaks, both coefficient sets end
-    there (the lower one at ``gamma_max`` at most), and
+    Where the lower half's gaps equal the upper's to the bit, as for about
+    half the sine products, the lower half shares the upper's enumeration
+    of the gap semigroup (:meth:`CoefficientSweep.share`); the
+    coefficients are the same either way.  Both bounds are checked at
+    every doubling of |gamma| from the larger of the two least gaps, and
+    where a half's coefficients outgrow SUPPORT_CAP or the double range,
+    on those solved: first on the moduli alone, and with the rounding
+    bounds only where those break one.  Where one breaks, both coefficient
+    sets end there (the lower one at ``gamma_max`` at most), and
     :func:`growth_profile` on them is superlinear; else that half's
     CapacityError is raised.
     """

@@ -71,16 +71,18 @@ def _require(cond: bool, message: str):
         raise ParseError(message)
 
 
-def _finite(v) -> bool:
+def finite_number(v) -> bool:
+    """Whether ``v`` is a finite JSON number (true and false are none)."""
     try:
-        return isinstance(v, (int, float)) and math.isfinite(v)
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v))
     except OverflowError:  # an integer beyond the double range
         return False
 
 
 def _as_complex(v, what: str) -> complex:
     _require(isinstance(v, (list, tuple)) and len(v) == 2
-             and all(_finite(c) for c in v),
+             and all(finite_number(c) for c in v),
              f"{what} must be a [re, im] pair of finite numbers")
     z = complex(v[0], v[1])
     _require(abs(z) < COEFF_MAX, f"{what} must have modulus below 2^1000")
@@ -103,7 +105,7 @@ def polynomial_from_dict(data) -> ExpPolynomial:
     for entry in terms:
         _require(isinstance(entry, dict) and "omega" in entry and "coeff" in entry,
                  "each term needs 'omega' and 'coeff'")
-        _require(_finite(entry["omega"]), "'omega' must be a finite number")
+        _require(finite_number(entry["omega"]), "'omega' must be a finite number")
         pairs.append((float(entry["omega"]),
                       _as_complex(entry["coeff"], "'coeff'")))
     return ExpPolynomial.from_terms(pairs)
@@ -118,14 +120,16 @@ def sine_product_from_dict(data) -> SineProduct:
              "sine-product file needs a 'factors' array")
     C = _as_complex(data.get("C", [1.0, 0.0]), "'C'")
     a = data.get("a", 0.0)
-    _require(_finite(a), "'a' must be a finite number")
+    _require(finite_number(a), "'a' must be a finite number")
+    _require(isinstance(data["factors"], list), "'factors' must be an array")
     factors = []
     for entry in data["factors"]:
         _require(isinstance(entry, dict)
                  and all(k in entry for k in ("alpha", "beta", "mult")),
                  "each factor needs 'alpha', 'beta' and 'mult'")
-        _require(all(_finite(entry[k]) for k in ("alpha", "beta", "mult")),
+        _require(all(finite_number(entry[k]) for k in ("alpha", "beta", "mult")),
                  "factor fields must be finite numbers")
+        _require(float(entry["mult"]).is_integer(), "'mult' must be an integer")
         factors.append((float(entry["alpha"]), float(entry["beta"]),
                         int(entry["mult"])))
     try:

@@ -11,8 +11,8 @@ Every generator is positive, so one sweep in increasing gamma builds the
 semigroup and solves each coefficient exactly from those below it
 (:class:`CoefficientSweep`), unless it passes SUPPORT_CAP entries or the
 double range first (CapacityError).  The lower half-plane is p(-z)'s upper;
-where the spectrum is symmetric, p(-z) has the same gaps, and its sweep can
-share the upper one's enumeration of the semigroup.
+where p(-z) has the same gaps to the bit, as about half the sine products
+have, its sweep shares the upper one's enumeration of the semigroup.
 
 Numeric coefficients come from Bohr means
 ``exp(2*pi*gamma*y) * (1/2T) * integral_{-T}^{T} (p'/p)(x+iy) e^{-2*pi*i*gamma*x} dx``
@@ -39,10 +39,6 @@ LOWER = "lower"
 SUPPORT_CAP = 200_000
 #: Coefficients below this times max|h| are cancellation dust and dropped.
 COEFF_PRUNE_REL = 1e-12
-#: A sweep shares another's blocks only where each of its gaps lies within
-#: this share of the other's, as the lower half's gaps do for a symmetric
-#: spectrum: far inside the frequency resolution.
-MIRROR_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -142,12 +138,11 @@ class CoefficientSweep:
     sum not taken, that start by lo + d_min - 2 RESOLUTION; a run's sums are
     its sources, one a gap, all below lo and solved.
 
-    A sweep whose gaps agree with this one's, as the lower half's do when
-    the spectrum is symmetric, can :meth:`share` its blocks: it takes its
-    sources from them and is solved with this one in one pass over one
-    (half, row, entry) array, while its frequencies stay the runs of its
-    own sums.  From the first block where its own would differ (other
-    sources, other runs, another count taken) it enumerates its own."""
+    A sweep whose gaps equal this one's to the bit, as the lower half's do
+    for about half the sine products, can :meth:`share` its blocks: its
+    entries, sums and runs are then this one's, so each block is enumerated
+    once and solved for both with the same sources.  It goes on alone from
+    the first block its own cap takes fewer runs of, or none."""
 
     def __init__(self, p: ExpPolynomial, halfplane: str, cap: float):
         if p.n_terms == 0:
@@ -169,13 +164,10 @@ class CoefficientSweep:
         self.d_min = float(self.d[0]) if len(self.d) else math.inf
         self.y_v = _validity_height(self.d, self.c) if len(self.d) else -math.inf
         self._rows, self._edges = np.arange(len(self.d))[:, None], np.empty((2, 1))
-        # the d_j of each half whose sums this sweep's blocks form, and the
-        # c_j of each half they solve
-        self._d, self._c = self.d[None, :, None], self.c[None, None, :, None]
-        # the sweep that shares this one's blocks, and whether this one shares
-        # another's (no reference back, so that no cycle outlives a sweep)
+        self._d_col, self._c_col = self.d[:, None], self.c[:, None]
+        # the sweep that shares this one's blocks (no reference back, so that
+        # no cycle outlives a sweep)
         self.mirror: CoefficientSweep | None = None
-        self.following = False
         # entries (0 first), the largest sum taken, the least not taken, the
         # gaps whose own entry has its g' and -g, how far all is solved, and
         # how many entries are known finite
@@ -185,50 +177,18 @@ class CoefficientSweep:
         self._resize(1024)
 
     def share(self, other: CoefficientSweep) -> bool:
-        """Let ``other`` share this sweep's blocks if its gaps agree with
-        these: as many, each within MIRROR_REL.  Whether it does.  Both
-        sweeps are new: neither has solved a block or shares another's."""
-        d, e = self.d, other.d
-        if not (len(d) == len(e) > 0 and bool((np.abs(e - d) <= MIRROR_REL * d).all())):
-            return False
-        self.mirror, other.following = other, True
-        self._c = np.concatenate([self._c, other._c])
-        # where the gaps are equal to the bit, so are all entries and sums,
-        # and other's need not be formed; else they are, a row beside these
-        if (e != d).any():
-            self._d = np.concatenate([self._d, other._d])
-        self._resize(len(self.gam))
-        return True
-
-    def _unshare(self) -> None:
-        self.mirror.following, self.mirror = False, None
-        self._gam, self._uv, self._rhs = self._gam[:1], self._uv[:1], self._rhs[:1]
-        self._d, self._c = self._d[:1], self._c[:1]
+        """Let ``other`` share this sweep's blocks if its gaps equal these
+        to the bit.  Whether it does.  Both sweeps are new, other's cap is
+        at most this one's, and other is advanced after this one, to the
+        same gamma: then it never needs a block this one does not solve."""
+        self.mirror = other if np.array_equal(self.d, other.d) else None
+        return self.mirror is other
 
     def _resize(self, size: int) -> None:  # entries past n read inf
-        halves = (self,) if self.mirror is None else (self, self.mirror)
-        # one array at a time, each for all halves, so that the old one is
-        # gone before the next is made
-        for name in ("gam", "uv", "rhs"):
-            shape = (len(halves), *getattr(self, name).shape[:-1], size)
-            new = (np.full(shape, np.inf) if name == "gam"
-                   else np.zeros(shape, dtype=complex))
-            for k, h in enumerate(halves):
-                new[k, ..., :h.n] = getattr(h, name)[..., :h.n]
-                setattr(h, name, new[k])
-                setattr(h, "_" + name, new[k:k + 1])
-            setattr(self, "_" + name, new)
-        steps = np.arange(size)
-        for h in halves:
-            h._steps = steps
-
-    def _sources(self) -> np.ndarray:
-        # each gap's sources of sums in (front, top) and of its first sum
-        # past top, top = lo + d_min; the sums at most half the resolution
-        # below front are taken, and chain to it
-        edges = self._edges
-        edges[0, 0], edges[1, 0] = self.front - 0.5 * freq.RESOLUTION, self.lo + self.d_min
-        return self.gam.searchsorted(edges - self.d)
+        n, gam = self.n, np.full(size, np.inf)
+        uv, rhs = np.zeros((2, 2, size), dtype=complex)
+        gam[:n], uv[:, :n], rhs[:, :n] = self.gam[:n], self.uv[:, :n], self.rhs[:, :n]
+        self.gam, self.uv, self.rhs, self._steps = gam, uv, rhs, np.arange(size)
 
     def _end(self) -> float:
         # at least the entry at lo, whose sources all lie d_min below it
@@ -236,65 +196,49 @@ class CoefficientSweep:
                    self.cap + 0.5 * freq.RESOLUTION)
 
     def _block(self) -> None:
-        n, mirror = self.n, self.mirror
-        k, e = self._sources()
-        # each gap's sources, padded to one width by later entries, and each
-        # half's sums on them, sorted, and the first sum of each of its runs
+        mirror = self.mirror
+        # each gap's sources of sums in (front, top) and of its first sum
+        # past top, top = lo + d_min, padded to one width by later entries;
+        # the sums at most half the resolution below front are taken, and
+        # chain to it
+        edges = self._edges
+        edges[0, 0], edges[1, 0] = self.front - 0.5 * freq.RESOLUTION, self.lo + self.d_min
+        k, e = self.gam.searchsorted(edges - self.d)
         src = k[:, None] + self._steps[:max((e - k).tolist()) + 1]
-        sums = self._gam[:len(self._d)].take(src, axis=1) + self._d
-        ordered = sums.reshape(len(sums), -1).copy()
+        sums = self.gam.take(src) + self._d_col
+        ordered = sums.flatten()
         ordered.sort()
-        firsts, starts = [], []
-        for row, half in zip(ordered, (self, mirror)):
-            firsts.append(freq.run_starts(row, half.front).nonzero()[0])
-            starts.append(row[firsts[-1]])
-        runs = starts[0].searchsorted(sums[0], side="right")  # each sum's run
-        nb = int(starts[0].searchsorted(self._end(), side="right"))
-        if mirror is not None and not mirror._follows(k, src.shape[1], sums, runs,
-                                                      starts[-1], nb):
-            self._unshare()
+        firsts = freq.run_starts(ordered, self.front).nonzero()[0]
+        starts = ordered[firsts]
+        nb = int(starts.searchsorted(self._end(), side="right"))
+        if mirror is not None and starts.searchsorted(mirror._end(), side="right") != nb:
+            self.mirror = None  # its cap takes fewer runs: it goes on alone
             mirror._block()
+        # the sums of run t give entry n + t - 1 one source per gap, in column
+        # t of idx (column 0 is dropped; a source left 0 reads entry 0's zeros)
+        idx = np.zeros((len(self.d), len(starts) + 1), dtype=np.intp)
+        idx[self._rows, starts.searchsorted(sums, side="right")] = src
+        idx = idx[:, 1:nb + 1]
+        self._take(ordered, firsts, starts, nb, idx)
+        if self.mirror is not None:
+            mirror._take(ordered, firsts, starts, nb, idx)
+
+    def _take(self, ordered, firsts, starts, nb: int, idx) -> None:
+        """Take the first ``nb`` runs as entries, the g' and -g of the gaps
+        among them, and solve them: entry n + t from the sources ``idx[:, t]``."""
+        n, d = self.n, self.d
         if 2 * (n + nb) + 2 > len(self.gam):
             self._resize(max(2 * len(self.gam), 2 * (n + nb) + 2))
-        # run t's sums give entry n + t - 1 one source per gap (columns 0 and
-        # past nb are not read; a source left 0 reads entry 0's zeros)
-        idx = np.zeros((len(self.d), len(starts[0]) + 1), dtype=np.intp)
-        idx[self._rows, runs] = src
-        self._take(ordered[0], firsts[0], starts[0], nb)
-        if self.mirror is not None:
-            mirror._take(ordered[-1], firsts[-1], starts[-1], nb)
-        block = slice(n, n + nb)
-        self._uv[..., block] = self._rhs[..., block] - np.add.reduce(
-            self._c * self._uv.take(idx[:, 1:nb + 1], axis=2), axis=2)
-
-    def _follows(self, k, width: int, sums, runs, starts, nb: int) -> bool:
-        """Whether this sweep's own block is the lead's, which has ``nb``
-        runs taken: its own cap takes as many of its runs (``starts``) and,
-        unless the gaps are equal to the bit, its own sources are the
-        lead's (``k`` on, ``width`` of them per gap) and each of its sums
-        on them (``sums[1]``, the lead's ``sums[0]``) falls in the lead's
-        run (``runs``).  Then its entries have the lead's sources, and one
-        solve with the lead's indices is its own."""
-        end = self._end()
-        if (nb and starts[nb - 1] > end) or (nb < len(starts) and starts[nb] <= end):
-            return False  # its own cap takes another count
-        if len(sums) == 1:
-            return True  # all else equal to the bit
-        k_own, e_own = self._sources()
-        return bool((k_own == k).all() and max((e_own - k_own).tolist()) + 1 == width
-                    and (starts.searchsorted(sums[1], side="right") == runs).all())
-
-    def _take(self, ordered, firsts, starts, nb: int) -> None:
-        """Take the first ``nb`` runs as entries: their frequencies, and the
-        g' and -g of the gaps among them."""
-        n, d = self.n, self.d
         past = float(starts[nb]) if nb < len(starts) else math.inf  # least not taken
         if self._seeded < len(d) and d[self._seeded] < past:  # sums 0 + d_j taken
             j = slice(self._seeded, int(d.searchsorted(past)))
             entry = n - 1 + starts.searchsorted(d[j], side="right")
             np.add.at(self.rhs, (slice(None), entry), [self.gp[j], -self.c[j]])
             self._seeded = j.stop
-        self.gam[n:n + nb], self.n = starts[:nb], n + nb
+        block = slice(n, n + nb)
+        self.uv[:, block] = self.rhs[:, block] - np.add.reduce(
+            self._c_col * self.uv.take(idx, axis=1), axis=1)
+        self.gam[block], self.n = starts[:nb], n + nb
         taken = firsts[nb] if nb < len(firsts) else len(ordered)
         self.front = float(ordered[taken - 1]) if taken else self.front
         # a sum of the new entries is at least the least of them plus d_min
@@ -310,16 +254,9 @@ class CoefficientSweep:
         """Solve the entries up to ``gamma`` (the cap at most).  ``reach`` is
         then ``gamma``, or, with a CapacityError raised, the last entry
         solved, finite and within SUPPORT_CAP (none is solved past the last
-        reach where the multiples of d_min alone pass SUPPORT_CAP).  A
-        shared pair solves the blocks both need together, and either half
-        that needs one the other does not goes on alone."""
+        reach where the multiples of d_min alone pass SUPPORT_CAP)."""
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             while self._more(gamma):
-                # a block one half of a shared pair takes alone ends the sharing
-                self.following = False
-                if self.mirror is not None and not (
-                        self.mirror.following and self.mirror._more(gamma)):
-                    self._unshare()
                 self._block()
         gamma = min(gamma, self.cap)
         limit = gamma + 0.5 * freq.RESOLUTION

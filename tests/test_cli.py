@@ -258,6 +258,22 @@ class TestOtherCommands:
         assert main(["criterion", "--input", sin_file,
                      "--config", str(cfg)]) == 5
 
+    @pytest.mark.parametrize("config", [
+        '{"radii": ["a", "b"]}', '{"gamma_max": "16"}', '{"window": [1, "x"]}',
+        '{"radii": 4}', '{"battery": 3}', '{"window": 5}', '{"radii": [1, 2, null]}',
+        '{"zero_tol": true}', '{"reconstruction_tol": 1e400}'])
+    def test_malformed_config_exit_5(self, config, sin_file, tmp_path, capsys):
+        # numbers must be finite and no bools, lists must be lists
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        assert main(["criterion", "--input", sin_file, "--config", str(cfg)]) == 5
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["factor"], ["zeros", "--rect=-1,1,-1,1"]])
+    def test_gamma_max_flag_only_where_read_exit_5(self, command, sin_file):
+        # factor reads gamma_max from the config file, zeros not at all
+        assert main(command + ["--input", sin_file, "--gamma-max", "4"]) == 5
+
     def test_bad_threads_exit_5(self, sin_file):
         assert main(["criterion", "--input", sin_file, "--threads", "0"]) == 5
 
@@ -270,6 +286,28 @@ def _terms_file(tmp_path, terms):
     f.write_text(json.dumps({"terms": [{"omega": w, "coeff": [q.real, q.imag]}
                                        for w, q in terms]}))
     return str(f)
+
+
+class TestSineProductInput:
+    @pytest.mark.parametrize("text", [
+        '{"factors": 3}',
+        '{"factors": [{"alpha": 3.14, "beta": 0.0, "mult": 2.7}]}',
+        '{"factors": [{"alpha": 3.14, "beta": 0.0, "mult": true}]}'])
+    def test_malformed_factors_exit_4(self, text, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(text)
+        assert main(["logderiv", "--input", str(f)]) == 4
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mult", [4096, 20000, "1e6"])
+    def test_multiplicity_past_the_term_cap_exit_6(self, mult, tmp_path, capsys):
+        # an m-fold zero needs m + 1 terms: refused before any is expanded
+        f = tmp_path / "s.json"
+        f.write_text('{"factors": [{"alpha": 3.14, "beta": 0.0, "mult": %s}]}' % mult)
+        start = time.perf_counter()
+        assert main(["logderiv", "--input", str(f)]) == 6
+        assert time.perf_counter() - start < 1.0
+        assert "multiplicity" in capsys.readouterr().err
 
 
 class TestInputRange:

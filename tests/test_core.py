@@ -14,7 +14,7 @@ from sinecomb import (
     find_zeros,
     zero_strip_estimate,
 )
-from sinecomb.core import multiply
+from sinecomb.core import EXPANSION_TERM_CAP, multiply
 from sinecomb.errors import CapacityError, EmptyPolynomialError, ZeroFreeError
 
 from conftest import random_sine_product
@@ -103,6 +103,15 @@ class TestExpandSineProduct:
         s = SineProduct.from_factors(1.0, 0.0, factors)
         with pytest.raises(CapacityError):
             expand_sine_product(s)
+
+    def test_multiplicity_at_the_term_cap(self):
+        # sin^m has m + 1 terms: a multiplicity at the cap, also one merged
+        # from two equal factors, raises before any product is formed
+        for factors in ([(PI, 0.3, EXPANSION_TERM_CAP)],
+                        [(PI, 0.3, EXPANSION_TERM_CAP // 2)] * 2):
+            s = SineProduct.from_factors(1.0, 0.0, factors)
+            with pytest.raises(CapacityError, match="multiplicity"):
+                expand_sine_product(s)
 
     def test_canonicalization_flips(self):
         # negative alpha and beta outside [0, pi) are absorbed into C

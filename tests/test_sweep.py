@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinecomb import LOWER, UPPER, ExpPolynomial, factor, freq
+from sinecomb import LOWER, UPPER, ExpPolynomial, factor, freq, growth
 from sinecomb.factorize import profile_radii
 from sinecomb.errors import CapacityError
 from sinecomb.growth import _bounds, growth_profile, sweep_coefficients
@@ -81,11 +81,11 @@ def separate_halves(p: ExpPolynomial, gamma_max: float,
         gamma *= 2.0
 
 
-def outcome(sweep, p: ExpPolynomial):
-    """The (upper, lower) coefficients of ``sweep`` at factor's reach, as
-    arrays and numbers, or the error it raises."""
+def outcome(sweep, p: ExpPolynomial, *reach):
+    """The (upper, lower) coefficients of ``sweep`` at ``reach`` (factor's
+    by default), as arrays and numbers, or the error it raises."""
     try:
-        halves = sweep(p, *factor_reach(p))
+        halves = sweep(p, *(reach or factor_reach(p)))
     except CapacityError as exc:
         return repr(exc)
     return [(c.halfplane, c.gamma_array.tolist(), c.h_array.tolist(),
@@ -102,25 +102,33 @@ def sharing(p: ExpPolynomial) -> bool:
     return CoefficientSweep(p, UPPER, 1.0).share(CoefficientSweep(p, LOWER, 1.0))
 
 
+def equal_gaps(p: ExpPolynomial) -> bool:
+    """Whether the gaps of p(-z), w_last - w_i, equal those of p, w_i - w_0,
+    to the bit."""
+    w = [w for w, _ in p.terms]
+    return [x - w[0] for x in w[1:]] == [w[-1] - x for x in w[-2::-1]]
+
+
 @pytest.mark.parametrize("name", list(corpora()))
 def test_shared_sweep_is_bit_identical(name):
-    # every sine product shares the upper half's blocks and no generic input
-    # does; Lee-Yang, 4 + 2cos and 1 + 2e(z) + 3e(2z) share them until the
-    # breach that rejects them
+    # an input shares the upper half's blocks exactly where its gaps are
+    # equal to the bit: 27 and 26 of the 50 sine products, no generic or
+    # Lee-Yang input, and 4 + 2cos and 1 + 2e(z) + 3e(2z), which share them
+    # until the breach that rejects them
     polys = corpora()[name]
     shared = [sharing(p) for p in polys]
-    assert all(shared) if name != "generic" else not any(shared)
+    assert shared == [equal_gaps(p) for p in polys]
     for p in polys:
         assert outcome(sweep_coefficients, p) == outcome(separate_halves, p)
 
 
 def lower_alone(monkeypatch) -> list:
-    """The entry counts at which the lower half of a shared sweep solves a
-    block alone, from now on."""
+    """The entry counts at which a lower half solves a block alone, from
+    now on."""
     block, alone = CoefficientSweep._block, []
 
     def counted(self):
-        if self.halfplane == LOWER and not self.following:
+        if self.halfplane == LOWER:
             alone.append(self.n)
         block(self)
 
@@ -129,52 +137,56 @@ def lower_alone(monkeypatch) -> list:
 
 
 def test_lower_half_goes_its_own_way_where_its_sources_differ(monkeypatch):
-    # item 6 of seed 60601: from some block on, the lower half's own block
-    # would differ from the upper's, so it enumerates its own semigroup,
-    # with the same coefficients
+    # item 6 of seed 60601: the lower half's gaps are not the upper's to the
+    # bit, so it enumerates its own semigroup, with the same coefficients
     p, alone = corpora()["seed-60601"][6], lower_alone(monkeypatch)
     assert outcome(sweep_coefficients, p) == outcome(separate_halves, p)
     assert alone
 
 
-def test_lower_half_goes_its_own_way_where_its_runs_differ(monkeypatch):
+def test_lower_half_goes_its_own_way_where_its_runs_differ():
     # frequencies 0, 1, 1.5, 2, 2.5, 3.5, all but 0 moved by a few times the
     # resolution r and a few e = 2^-47, so that sums of gaps lie about r
-    # apart: the lower half's gaps agree with the upper's within 1e-14, but
-    # at some block its own sums, on the same sources and in as many runs
-    # taken, split into runs at other places
+    # apart: the lower half's gaps agree with the upper's within 1e-14, not
+    # to the bit, and its own sums split into runs at other places
     r, e = freq.RESOLUTION, 2.0 ** -47
     moved = [(1.0, 1, 3), (1.5, 2, 4), (2.0, 0, 3), (2.5, 1, 0), (3.5, 2, -4)]
     p = ExpPolynomial.from_terms([(0.0, 1.0)] + [
         (w + a * r + b * e, 1.0 if w == 3.5 else 0.5) for w, a, b in moved])
-    assert sharing(p)
-    alone, reference = lower_alone(monkeypatch), outcome(separate_halves, p)
-    alone.clear()
-    assert outcome(sweep_coefficients, p) == reference and alone
-    # told that the lead's runs are its own, the lower half keeps following
-    follows = CoefficientSweep._follows
-
-    def unchecked(self, k, width, sums, runs, starts, nb):
-        own = starts.searchsorted(sums[-1], side="right")
-        return follows(self, k, width, sums, own, starts, nb)
-
-    monkeypatch.setattr(CoefficientSweep, "_follows", unchecked)
-    assert outcome(sweep_coefficients, p) != reference
-
-
-def test_lower_half_goes_its_own_way_where_a_check_is_stricter(monkeypatch):
-    # a comparison stricter than the sweep's finds the lower half's 6th
-    # block different from the shared one
-    p, alone = corpora()["seed-60601"][3], lower_alone(monkeypatch)
-    follows, calls = CoefficientSweep._follows, []
-
-    def stricter(self, *args):
-        calls.append(self.n)
-        return len(calls) != 6 and follows(self, *args)
-
-    monkeypatch.setattr(CoefficientSweep, "_follows", stricter)
+    assert not sharing(p)
     assert outcome(sweep_coefficients, p) == outcome(separate_halves, p)
-    assert len(calls) == 6 and len(alone) > 1 and alone[0] == calls[-1] > 1
+
+
+def test_lower_cap_inside_a_shared_block(monkeypatch):
+    # products of seed 60601 with gaps equal to the bit, the upper half swept
+    # to 4 times the lower cap: where that cap ends inside a block, the lower
+    # half takes fewer of its runs than the upper, solves it alone, and
+    # holds exactly the entries of a lower half swept alone
+    made, alone = [], []
+
+    class Recorded(CoefficientSweep):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def _block(self):  # a lower half's block is one it solves alone
+            n = self.n
+            super()._block()
+            if self.halfplane == LOWER:
+                alone.append(self.n - n)
+
+    monkeypatch.setattr(growth, "CoefficientSweep", Recorded)
+    for p in [p for p in corpora()["seed-60601"] if equal_gaps(p)][:20]:
+        gamma_max = factor_reach(p)[0]
+        made.clear()
+        shared = outcome(sweep_coefficients, p, gamma_max, 4.0 * gamma_max)
+        assert shared == outcome(separate_halves, p, gamma_max, 4.0 * gamma_max)
+        lower, own = made[1], CoefficientSweep(p, LOWER, gamma_max)
+        own.advance(gamma_max)
+        assert lower.n == own.n
+        assert (lower.gam[:own.n] == own.gam[:own.n]).all()
+        assert (lower.uv[:, :own.n] == own.uv[:, :own.n]).all()
+    assert any(alone)
 
 
 def test_stepwise_advance_finds_the_same_overflow():
